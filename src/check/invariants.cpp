@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,12 +16,24 @@ namespace cloudwf::check {
 
 namespace {
 
+/// A violation's subject or message: a string, or a callable that builds
+/// it.  Callables run only when the check fails, so a passing check formats
+/// nothing (the checker audits every refinement probe under CLOUDWF_CHECK).
+template <class Text>
+std::string text_of(const Text& text) {
+  if constexpr (std::is_invocable_v<const Text&>)
+    return text();
+  else
+    return std::string(text);
+}
+
 /// Shorthand for "evaluate one assertion": every call counts toward
 /// checks_run; a false condition files a violation.
-void expect(CheckReport& report, bool ok, InvariantCode code, std::string subject,
-            std::string message, double expected = 0, double actual = 0) {
+template <class Subject, class Message>
+void expect(CheckReport& report, bool ok, InvariantCode code, const Subject& subject,
+            const Message& message, double expected = 0, double actual = 0) {
   ++report.checks_run;
-  if (!ok) report.add(code, std::move(subject), std::move(message), expected, actual);
+  if (!ok) report.add(code, text_of(subject), text_of(message), expected, actual);
 }
 
 std::string num(double value) {
@@ -74,10 +87,10 @@ bool check_records(const dag::Workflow& wf, const platform::Platform& platform,
   for (dag::TaskId t = 0; t < r.tasks.size(); ++t) {
     const sim::TaskRecord& record = r.tasks[t];
     if (!completed(record)) continue;
-    const std::string subject = task_subject(wf, t);
+    const auto subject = [&] { return task_subject(wf, t); };
     ++report.checks_run;
     if (record.vm >= r.vms.size()) {
-      report.add(InvariantCode::record_range, subject, "vm id out of range",
+      report.add(InvariantCode::record_range, subject(), "vm id out of range",
                  static_cast<double>(r.vms.size()), static_cast<double>(record.vm));
       usable = false;
       continue;
@@ -91,10 +104,11 @@ bool check_records(const dag::Workflow& wf, const platform::Platform& platform,
       continue;
     }
     expect(report, record.start >= -options.time_tolerance, InvariantCode::record_range,
-           subject, "negative start time " + num(record.start), 0, record.start);
+           subject, [&] { return "negative start time " + num(record.start); }, 0,
+           record.start);
     expect(report, record.finish >= record.start - time_tol(options, record.finish),
            InvariantCode::record_range, subject,
-           "finish " + num(record.finish) + " before start " + num(record.start),
+           [&] { return "finish " + num(record.finish) + " before start " + num(record.start); },
            record.start, record.finish);
     expect(report,
            record.bound_by == dag::invalid_task || record.bound_by < wf.task_count(),
@@ -104,10 +118,10 @@ bool check_records(const dag::Workflow& wf, const platform::Platform& platform,
 
   for (sim::VmId v = 0; v < r.vms.size(); ++v) {
     const sim::VmRecord& record = r.vms[v];
-    const std::string subject = vm_subject(v);
+    const auto subject = [&] { return vm_subject(v); };
     ++report.checks_run;
     if (record.category >= platform.category_count()) {
-      report.add(InvariantCode::record_range, subject, "category id out of range",
+      report.add(InvariantCode::record_range, subject(), "category id out of range",
                  static_cast<double>(platform.category_count()),
                  static_cast<double>(record.category));
       usable = false;
@@ -146,25 +160,32 @@ void check_boot(const dag::Workflow& wf, const platform::Platform& platform,
     if (!record.billed) continue;
     const Seconds boot = record.boot_done - record.boot_request;
     expect(report, boot >= platform.boot_delay() - time_tol(options, record.boot_done),
-           InvariantCode::boot_order, vm_subject(v),
-           "boot interval " + num(boot) + " s shorter than t_boot", platform.boot_delay(),
-           boot);
+           InvariantCode::boot_order, [&] { return vm_subject(v); },
+           [&] { return "boot interval " + num(boot) + " s shorter than t_boot"; },
+           platform.boot_delay(), boot);
   }
   for (dag::TaskId t = 0; t < r.tasks.size(); ++t) {
     const sim::TaskRecord& record = r.tasks[t];
     if (!completed(record) || record.vm >= r.vms.size()) continue;
     const sim::VmRecord& vm = r.vms[record.vm];
-    const std::string subject = task_subject(wf, t);
-    expect(report, vm.billed, InvariantCode::boot_order, subject,
-           "executed on a VM that never billed (" + vm_subject(record.vm) + ")");
+    const auto subject = [&] { return task_subject(wf, t); };
+    expect(report, vm.billed, InvariantCode::boot_order, subject, [&] {
+      return "executed on a VM that never billed (" + vm_subject(record.vm) + ")";
+    });
     if (!vm.billed) continue;
     expect(report, record.start >= vm.boot_done - time_tol(options, record.start),
            InvariantCode::boot_order, subject,
-           "started " + num(record.start) + " before its VM was up at " + num(vm.boot_done),
+           [&] {
+             return "started " + num(record.start) + " before its VM was up at " +
+                    num(vm.boot_done);
+           },
            vm.boot_done, record.start);
     expect(report, record.finish <= vm.end + time_tol(options, record.finish),
            InvariantCode::boot_order, subject,
-           "finished " + num(record.finish) + " after its VM's billing end " + num(vm.end),
+           [&] {
+             return "finished " + num(record.finish) + " after its VM's billing end " +
+                    num(vm.end);
+           },
            vm.end, record.finish);
   }
 }
@@ -181,12 +202,15 @@ void check_precedence(const dag::Workflow& wf, const platform::Platform& platfor
     const sim::TaskRecord& u = r.tasks[edge.src];
     const sim::TaskRecord& v = r.tasks[edge.dst];
     if (!completed(u) || !completed(v)) continue;
-    const std::string subject =
-        "edge " + wf.task(edge.src).name + " -> " + wf.task(edge.dst).name;
+    const auto subject = [&] {
+      return "edge " + wf.task(edge.src).name + " -> " + wf.task(edge.dst).name;
+    };
     expect(report, v.start >= u.finish - time_tol(options, v.start),
            InvariantCode::precedence, subject,
-           "consumer started at " + num(v.start) + " before producer finished at " +
-               num(u.finish),
+           [&] {
+             return "consumer started at " + num(v.start) + " before producer finished at " +
+                    num(u.finish);
+           },
            u.finish, v.start);
     if (!clean || u.vm == v.vm || edge.bytes <= 0 || bw <= 0) continue;
     const Seconds hop = edge.bytes / bw;
@@ -228,9 +252,11 @@ void check_slots(const dag::Workflow& wf, const platform::Platform& platform,
       running += delta;
       peak = std::max(peak, running);
     }
-    expect(report, peak <= processors, InvariantCode::slot_overlap, vm_subject(v),
-           "ran " + std::to_string(peak) + " concurrent tasks on " +
-               std::to_string(processors) + " processor(s)",
+    expect(report, peak <= processors, InvariantCode::slot_overlap, [&] { return vm_subject(v); },
+           [&] {
+             return "ran " + std::to_string(peak) + " concurrent tasks on " +
+                    std::to_string(processors) + " processor(s)";
+           },
            processors, peak);
   }
   (void)wf;
@@ -269,12 +295,13 @@ void check_makespan(const dag::Workflow& wf, const sim::SimResult& r,
   for (dag::TaskId t = 0; t < r.tasks.size(); ++t) {
     const sim::TaskRecord& record = r.tasks[t];
     if (!completed(record)) continue;
+    const auto subject = [&] { return task_subject(wf, t); };
     expect(report, record.finish <= r.end_last + time_tol(options, record.finish),
-           InvariantCode::makespan_identity, task_subject(wf, t),
-           "finished after end_last", r.end_last, record.finish);
+           InvariantCode::makespan_identity, subject, "finished after end_last", r.end_last,
+           record.finish);
     expect(report, record.start >= r.start_first - time_tol(options, record.start),
-           InvariantCode::makespan_identity, task_subject(wf, t),
-           "started before start_first", r.start_first, record.start);
+           InvariantCode::makespan_identity, subject, "started before start_first",
+           r.start_first, record.start);
   }
 }
 
@@ -377,7 +404,9 @@ void check_budget(const sim::SimResult& r, const CheckOptions& options, CheckRep
                         std::numeric_limits<double>::epsilon();
   expect(report, total <= options.budget + std::max(slack, money_epsilon),
          InvariantCode::budget_cap, "cost.total",
-         "spend $" + num(total) + " exceeds the budget cap $" + num(options.budget),
+         [&] {
+           return "spend $" + num(total) + " exceeds the budget cap $" + num(options.budget);
+         },
          options.budget, total);
 }
 
@@ -430,7 +459,7 @@ CheckReport InvariantChecker::check(const sim::Schedule& schedule,
     const sim::TaskRecord& record = result.tasks[t];
     if (!completed(record)) continue;
     expect(report, record.vm == schedule.vm_of(t), InvariantCode::schedule_structure,
-           task_subject(wf_, t), "executed on a different VM than scheduled",
+           [&] { return task_subject(wf_, t); }, "executed on a different VM than scheduled",
            static_cast<double>(schedule.vm_of(t)), static_cast<double>(record.vm));
   }
   for (sim::VmId v = 0; v < schedule.vm_count(); ++v) {
@@ -440,10 +469,12 @@ CheckReport InvariantChecker::check(const sim::Schedule& schedule,
       const sim::TaskRecord& record = result.tasks[t];
       if (!completed(record) || record.vm != v) continue;
       expect(report, record.start >= previous - time_tol(options, record.start),
-             InvariantCode::schedule_structure, task_subject(wf_, t),
-             "started before its list predecessor " +
-                 (previous_task == dag::invalid_task ? std::string("-")
-                                                     : wf_.task(previous_task).name),
+             InvariantCode::schedule_structure, [&] { return task_subject(wf_, t); },
+             [&] {
+               return "started before its list predecessor " +
+                      (previous_task == dag::invalid_task ? std::string("-")
+                                                          : wf_.task(previous_task).name);
+             },
              previous, record.start);
       previous = std::max(previous, record.start);
       previous_task = t;
@@ -464,8 +495,9 @@ CheckReport check_events(std::span<const obs::Event> events, const CheckOptions&
 
   for (std::size_t i = 0; i < events.size(); ++i) {
     const obs::Event& event = events[i];
-    const std::string subject =
-        "event " + std::to_string(i) + " (" + std::string(to_string(event.kind)) + ")";
+    const auto subject = [&] {
+      return "event " + std::to_string(i) + " (" + std::string(to_string(event.kind)) + ")";
+    };
     expect(report, std::isfinite(event.time) && std::isfinite(event.value) &&
                        std::isfinite(event.duration),
            InvariantCode::event_order, subject, "non-finite time/value/duration");
@@ -500,8 +532,10 @@ CheckReport check_events(std::span<const obs::Event> events, const CheckOptions&
     }
     expect(report, event.time >= engine_time - time_tol(options, event.time),
            InvariantCode::event_order, subject,
-           "timestamp " + num(event.time) + " precedes an earlier event at " +
-               num(engine_time),
+           [&] {
+             return "timestamp " + num(event.time) + " precedes an earlier event at " +
+                    num(engine_time);
+           },
            engine_time, event.time);
     engine_time = std::max(engine_time, event.time);
 

@@ -126,14 +126,17 @@ namespace detail {
 
 }  // namespace detail
 
-/// Throws InvalidArgument with \p msg unless \p cond holds.
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw InvalidArgument(msg);
+/// Throws InvalidArgument with \p msg unless \p cond holds.  The message
+/// is copied into a string only on failure, so a passing check on a hot path
+/// allocates nothing — callers must not concatenate a message up front
+/// either; build it inside the failing branch instead.
+inline void require(bool cond, std::string_view msg) {
+  if (!cond) throw InvalidArgument(std::string(msg));
 }
 
-/// Throws ValidationError with \p msg unless \p cond holds.
-inline void validate(bool cond, const std::string& msg) {
-  if (!cond) throw ValidationError(msg);
+/// Throws ValidationError with \p msg unless \p cond holds (same contract).
+inline void validate(bool cond, std::string_view msg) {
+  if (!cond) throw ValidationError(std::string(msg));
 }
 
 }  // namespace cloudwf

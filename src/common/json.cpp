@@ -58,7 +58,7 @@ Json::Object& Json::as_object() {
 
 const Json& Json::at(std::string_view key) const {
   const Json* found = as_object().find(key);
-  require(found != nullptr, "Json: missing key '" + std::string(key) + "'");
+  if (found == nullptr) throw InvalidArgument("Json: missing key '" + std::string(key) + "'");
   return *found;
 }
 
@@ -112,13 +112,20 @@ class Parser {
   Json parse_document() {
     Json value = parse_value();
     skip_whitespace();
-    require(pos_ == text_.size(), error_at("trailing characters after JSON document"));
+    check(pos_ == text_.size(), "trailing characters after JSON document");
     return value;
   }
 
  private:
-  [[nodiscard]] std::string error_at(const std::string& what) const {
-    return "Json::parse: " + what + " at offset " + std::to_string(pos_);
+  [[nodiscard]] std::string error_at(std::string_view what, std::size_t offset) const {
+    return "Json::parse: " + std::string(what) + " at offset " + std::to_string(offset);
+  }
+  [[nodiscard]] std::string error_at(std::string_view what) const { return error_at(what, pos_); }
+
+  /// Throws InvalidArgument located at the current offset unless \p cond
+  /// holds; the message is built only on failure.
+  void check(bool cond, std::string_view what) const {
+    if (!cond) throw InvalidArgument(error_at(what));
   }
 
   void skip_whitespace() {
@@ -129,12 +136,14 @@ class Parser {
 
   [[nodiscard]] char peek() {
     skip_whitespace();
-    require(pos_ < text_.size(), error_at("unexpected end of input"));
+    check(pos_ < text_.size(), "unexpected end of input");
     return text_[pos_];
   }
 
   void expect(char c) {
-    require(peek() == c, error_at(std::string("expected '") + c + "'"));
+    // The reported offset is the one before peek() skips whitespace.
+    const std::size_t offset = pos_;
+    if (peek() != c) throw InvalidArgument(error_at(std::string("expected '") + c + "'", offset));
     ++pos_;
   }
 
@@ -148,7 +157,7 @@ class Parser {
   }
 
   void expect_literal(std::string_view literal) {
-    require(text_.substr(pos_, literal.size()) == literal, error_at("invalid literal"));
+    check(text_.substr(pos_, literal.size()) == literal, "invalid literal");
     pos_ += literal.size();
   }
 
@@ -193,14 +202,14 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      require(pos_ < text_.size(), error_at("unterminated string"));
+      check(pos_ < text_.size(), "unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (c != '\\') {
         out += c;
         continue;
       }
-      require(pos_ < text_.size(), error_at("unterminated escape"));
+      check(pos_ < text_.size(), "unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
         case '"': out += '"'; break;
@@ -212,7 +221,7 @@ class Parser {
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          require(pos_ + 4 <= text_.size(), error_at("truncated \\u escape"));
+          check(pos_ + 4 <= text_.size(), "truncated \\u escape");
           unsigned code = 0;
           for (int i = 0; i < 4; ++i) {
             const char h = text_[pos_++];
@@ -250,7 +259,7 @@ class Parser {
       ++pos_;
     double value = 0.0;
     const auto [ptr, ec] = std::from_chars(text_.data() + start, text_.data() + pos_, value);
-    require(ec == std::errc{} && ptr == text_.data() + pos_, error_at("invalid number"));
+    check(ec == std::errc{} && ptr == text_.data() + pos_, "invalid number");
     return Json(value);
   }
 

@@ -61,8 +61,10 @@ Workflow from_json(const std::string& text) {
     for (const Json& je : root.at("edges").as_array()) {
       const TaskId src = wf.find_task(je.at("src").as_string());
       const TaskId dst = wf.find_task(je.at("dst").as_string());
-      require(src != invalid_task, "from_json: unknown edge source " + je.at("src").as_string());
-      require(dst != invalid_task, "from_json: unknown edge target " + je.at("dst").as_string());
+      if (src == invalid_task)
+        throw InvalidArgument("from_json: unknown edge source " + je.at("src").as_string());
+      if (dst == invalid_task)
+        throw InvalidArgument("from_json: unknown edge target " + je.at("dst").as_string());
       wf.add_edge(src, dst, je.at("bytes").as_number());
     }
   }

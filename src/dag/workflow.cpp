@@ -15,9 +15,12 @@ TaskId Workflow::add_task(std::string name, Instructions mean_weight, Instructio
                           std::string type) {
   require_mutable("add_task");
   require(!name.empty(), "Workflow::add_task: empty task name");
-  require(mean_weight > 0, "Workflow::add_task: mean weight must be positive (" + name + ")");
-  require(weight_stddev >= 0, "Workflow::add_task: negative weight stddev (" + name + ")");
-  require(find_task(name) == invalid_task, "Workflow::add_task: duplicate task name " + name);
+  if (!(mean_weight > 0))
+    throw InvalidArgument("Workflow::add_task: mean weight must be positive (" + name + ")");
+  if (!(weight_stddev >= 0))
+    throw InvalidArgument("Workflow::add_task: negative weight stddev (" + name + ")");
+  if (find_task(name) != invalid_task)
+    throw InvalidArgument("Workflow::add_task: duplicate task name " + name);
   tasks_.push_back(Task{std::move(name), std::move(type), mean_weight, weight_stddev});
   external_input_.push_back(0);
   external_output_.push_back(0);
@@ -27,11 +30,12 @@ TaskId Workflow::add_task(std::string name, Instructions mean_weight, Instructio
 EdgeId Workflow::add_edge(TaskId src, TaskId dst, Bytes bytes) {
   require_mutable("add_edge");
   require(src < tasks_.size() && dst < tasks_.size(), "Workflow::add_edge: task id out of range");
-  require(src != dst, "Workflow::add_edge: self loop on " + tasks_[src].name);
+  if (src == dst) throw InvalidArgument("Workflow::add_edge: self loop on " + tasks_[src].name);
   require(bytes >= 0, "Workflow::add_edge: negative data size");
   for (const Edge& e : edges_)
-    require(!(e.src == src && e.dst == dst),
-            "Workflow::add_edge: duplicate edge " + tasks_[src].name + " -> " + tasks_[dst].name);
+    if (e.src == src && e.dst == dst)
+      throw InvalidArgument("Workflow::add_edge: duplicate edge " + tasks_[src].name + " -> " +
+                            tasks_[dst].name);
   edges_.push_back(Edge{src, dst, bytes});
   return static_cast<EdgeId>(edges_.size() - 1);
 }
@@ -86,7 +90,8 @@ void Workflow::freeze() {
       if (--pending[succ] == 0) ready.push_back(succ);
     }
   }
-  validate(topo_order_.size() == n, "Workflow::freeze: dependency cycle in " + name_);
+  if (topo_order_.size() != n)
+    throw ValidationError("Workflow::freeze: dependency cycle in " + name_);
 
   total_mean_weight_ = 0;
   total_conservative_weight_ = 0;
@@ -162,11 +167,11 @@ Bytes Workflow::predecessor_bytes(TaskId task) const {
 }
 
 void Workflow::require_frozen(const char* fn) const {
-  require(frozen_, std::string("Workflow::") + fn + ": workflow not frozen");
+  if (!frozen_) throw InvalidArgument(std::string("Workflow::") + fn + ": workflow not frozen");
 }
 
 void Workflow::require_mutable(const char* fn) const {
-  require(!frozen_, std::string("Workflow::") + fn + ": workflow already frozen");
+  if (frozen_) throw InvalidArgument(std::string("Workflow::") + fn + ": workflow already frozen");
 }
 
 }  // namespace cloudwf::dag

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/error.hpp"
 #include "dag/analysis.hpp"
@@ -10,6 +11,7 @@
 #include "obs/profile.hpp"
 #include "sched/best_host.hpp"
 #include "sched/plan.hpp"
+#include "sched/refine.hpp"
 #include "sim/simulator.hpp"
 
 namespace cloudwf::sched {
@@ -154,63 +156,34 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
   // ---- CG+: critical-path refinement --------------------------------------
   const sim::Simulator simulator(wf, platform);
   sim::SimResult current = simulator.run_conservative(schedule);
+  sim::Predictor predictor(wf, platform, schedule);
   // Generous iteration cap: each applied move strictly reduces makespan, but
   // guard against floating-point ping-pong anyway.
   const std::size_t max_iterations = 3 * wf.task_count();
 
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    const auto path = sim::schedule_critical_path(current);
-
     double best_ratio = 0;
-    dag::TaskId best_task = dag::invalid_task;
-    sim::VmId best_vm = sim::invalid_vm;
-    bool best_fresh = false;
-    platform::CategoryId best_category = 0;
-
-    const auto consider = [&](dag::TaskId task, sim::Schedule& tentative, sim::VmId vm,
-                              bool fresh, platform::CategoryId category) {
-      tentative.move(task, vm);
-      const sim::SimResult result = simulator.run_conservative(tentative);
-      const Seconds dt = current.makespan - result.makespan;
-      const Dollars dc = result.total_cost() - current.total_cost();
-      // Faithful CG+ rule: only time-improving, cost-increasing moves have a
-      // positive ratio; cheaper-and-faster moves are (wrongly) skipped.
-      if (dt <= time_epsilon || dc <= money_epsilon) return;
-      if (result.total_cost() > input.budget + money_epsilon) return;
-      const double ratio = dt / dc;
-      if (ratio > best_ratio) {
-        best_ratio = ratio;
-        best_task = task;
-        best_vm = vm;
-        best_fresh = fresh;
-        best_category = category;
-      }
-    };
-
-    // One tentative schedule reused (copy-assigned) across every probe of
-    // this iteration, instead of a fresh deep copy per move.
-    sim::Schedule tentative = schedule;
-    for (dag::TaskId task : path) {
-      const sim::VmId current_vm = schedule.vm_of(task);
-      for (sim::VmId vm = 0; vm < schedule.vm_count(); ++vm) {
-        if (vm == current_vm || schedule.vm_tasks(vm).empty()) continue;
-        tentative = schedule;
-        consider(task, tentative, vm, false, 0);
-      }
-      for (platform::CategoryId c = 0; c < platform.category_count(); ++c) {
-        tentative = schedule;
-        const sim::VmId fresh = tentative.add_vm(c);
-        consider(task, tentative, fresh, true, c);
-      }
+    std::optional<sim::Move> best;
+    for (dag::TaskId task : sim::schedule_critical_path(current)) {
+      for_each_move(schedule, platform.category_count(), task, [&](const sim::Move& move) {
+        const sim::Prediction result = predictor.predict(move);
+        const Seconds dt = current.makespan - result.makespan;
+        const Dollars dc = result.cost - current.total_cost();
+        // Faithful CG+ rule: only time-improving, cost-increasing moves have
+        // a positive ratio; cheaper-and-faster moves are (wrongly) skipped.
+        if (dt <= time_epsilon || dc <= money_epsilon) return;
+        if (result.cost > input.budget + money_epsilon) return;
+        const double ratio = dt / dc;
+        if (ratio > best_ratio) {
+          best_ratio = ratio;
+          best = move;
+        }
+      });
     }
 
-    if (best_task == dag::invalid_task) break;  // leftover budget cannot buy time
-    if (best_fresh) {
-      const sim::VmId fresh = schedule.add_vm(best_category);
-      schedule.move(best_task, fresh);
-    } else {
-      schedule.move(best_task, best_vm);
-    }
+    if (!best) break;  // leftover budget cannot buy time
+    schedule.apply(*best);
+    predictor.rebase(schedule);
     current = simulator.run_conservative(schedule);
   }
 

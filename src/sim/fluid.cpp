@@ -23,9 +23,9 @@ FlowId FluidNetwork::start_flow(Bytes bytes, Seconds now) {
   return id;
 }
 
-std::vector<FlowId> FluidNetwork::advance(Seconds now) {
+const std::vector<FlowId>& FluidNetwork::advance(Seconds now) {
   progress_to(now);
-  std::vector<FlowId> completed;
+  completed_.clear();
   // Completion tolerance scaled to rate: one nanosecond of transfer.
   const Bytes tolerance = current_rate() * 1e-9;
   for (auto it = active_.begin(); it != active_.end();) {
@@ -34,13 +34,28 @@ std::vector<FlowId> FluidNetwork::advance(Seconds now) {
       flow.remaining = 0;
       flow.done = true;
       completed_bytes_ += flow.total;
-      completed.push_back(*it);
+      completed_.push_back(*it);
       it = active_.erase(it);
     } else {
       ++it;
     }
   }
-  return completed;
+  return completed_;
+}
+
+void FluidNetwork::reset() {
+  flows_.clear();
+  active_.clear();
+  completed_.clear();
+  last_update_ = 0;
+  completed_bytes_ = 0;
+  peak_active_ = 0;
+}
+
+void FluidNetwork::reserve(std::size_t flows) {
+  flows_.reserve(flows);
+  active_.reserve(flows);
+  completed_.reserve(flows);
 }
 
 Seconds FluidNetwork::next_completion() const {

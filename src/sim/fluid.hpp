@@ -39,8 +39,16 @@ class FluidNetwork {
   FlowId start_flow(Bytes bytes, Seconds now);
 
   /// Advances all flows to \p now (now must not exceed next_completion())
-  /// and returns the flows that completed at \p now, in start order.
-  [[nodiscard]] std::vector<FlowId> advance(Seconds now);
+  /// and returns the flows that completed at \p now, in start order.  The
+  /// list is a member buffer, valid until the next advance() or reset().
+  [[nodiscard]] const std::vector<FlowId>& advance(Seconds now);
+
+  /// Forgets every flow and rewinds the clock to zero, keeping the storage
+  /// (a reused simulation arena starts each run from here).
+  void reset();
+
+  /// Pre-sizes storage for \p flows flows per run.
+  void reserve(std::size_t flows);
 
   /// Time at which the earliest active flow completes; +inf when idle.
   [[nodiscard]] Seconds next_completion() const;
@@ -65,7 +73,8 @@ class FluidNetwork {
   BytesPerSec cap_;
   BytesPerSec aggregate_;  // 0 = unlimited
   std::vector<Flow> flows_;
-  std::vector<FlowId> active_;  // in start order
+  std::vector<FlowId> active_;     // in start order
+  std::vector<FlowId> completed_;  // advance()'s result buffer
   Seconds last_update_ = 0;
   Bytes completed_bytes_ = 0;
   std::size_t peak_active_ = 0;

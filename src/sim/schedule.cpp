@@ -46,6 +46,14 @@ void Schedule::move(dag::TaskId task, VmId vm) {
   insert_ordered(task, vm);
 }
 
+void Schedule::apply(const Move& m) {
+  if (m.fresh) {
+    require(m.vm == vms_.size(), "Schedule::apply: a fresh VM must take the next id");
+    add_vm(m.category);
+  }
+  move(m.task, m.vm);
+}
+
 std::size_t Schedule::used_vm_count() const {
   std::size_t used = 0;
   for (const VmPlan& vm : vms_)
@@ -108,14 +116,19 @@ void Schedule::validate(const dag::Workflow& wf, const platform::Platform& platf
     cloudwf::validate(vm.category < platform.category_count(),
                       "Schedule::validate: VM category out of range");
 
+  thread_local std::vector<std::size_t> position;
+  validate_vm_order(wf, vms_, assignment_, position);
+}
+
+void validate_vm_order(const dag::Workflow& wf, std::span<const VmPlan> vms,
+                       std::span<const VmId> vm_of, std::vector<std::size_t>& position) {
   // Same-VM dependencies must appear in producer-before-consumer order.
-  std::vector<std::size_t> position(wf.task_count(), 0);
-  for (const VmPlan& vm : vms_)
+  position.assign(wf.task_count(), 0);
+  for (const VmPlan& vm : vms)
     for (std::size_t i = 0; i < vm.tasks.size(); ++i) position[vm.tasks[i]] = i;
   for (const dag::Edge& e : wf.edges()) {
-    if (assignment_[e.src] != assignment_[e.dst]) continue;
-    cloudwf::validate(position[e.src] < position[e.dst],
-                      "Schedule::validate: task " + wf.task(e.dst).name +
+    if (vm_of[e.src] != vm_of[e.dst] || position[e.src] < position[e.dst]) continue;
+    throw ValidationError("Schedule::validate: task " + wf.task(e.dst).name +
                           " ordered before its same-VM predecessor " + wf.task(e.src).name);
   }
 }

@@ -32,6 +32,16 @@ struct VmPlan {
   std::vector<dag::TaskId> tasks;  ///< execution order (non-increasing priority)
 };
 
+/// One candidate re-assignment of the refinement loops (Algorithm 5, CG+):
+/// \p task goes to the existing VM \p vm, or — when \p fresh — to a new VM
+/// of \p category that add_vm() will number \p vm (the current vm_count()).
+struct Move {
+  dag::TaskId task = dag::invalid_task;
+  VmId vm = invalid_vm;
+  bool fresh = false;
+  platform::CategoryId category = 0;
+};
+
 /// Task-to-VM mapping plus per-VM execution order.
 class Schedule {
  public:
@@ -54,6 +64,9 @@ class Schedule {
   /// Re-assigns \p task to \p vm (refinement loops); keeps its priority.
   void move(dag::TaskId task, VmId vm);
 
+  /// Applies a refinement move: provisions its fresh VM if any, then move().
+  void apply(const Move& move);
+
   // ---- queries -------------------------------------------------------------
 
   [[nodiscard]] std::size_t task_count() const { return assignment_.size(); }
@@ -73,7 +86,8 @@ class Schedule {
 
   /// Structural validation against \p wf: every task assigned, VM categories
   /// in range for \p platform, and same-VM dependent tasks ordered
-  /// consistently.  Throws ValidationError on failure.
+  /// consistently.  Throws ValidationError on failure.  Allocation-free once
+  /// the calling thread has validated a workflow at least this large.
   void validate(const dag::Workflow& wf, const platform::Platform& platform) const;
 
  private:
@@ -85,5 +99,12 @@ class Schedule {
   std::vector<bool> priority_set_;    // per task
   double next_default_priority_ = 0;  // strictly decreasing default
 };
+
+/// The same-VM order rule of Schedule::validate over raw VM lists: throws
+/// ValidationError naming the first edge, in edge order, whose producer and
+/// consumer share a VM with the consumer listed first.  \p position is
+/// scratch storage, reused across calls.
+void validate_vm_order(const dag::Workflow& wf, std::span<const VmPlan> vms,
+                       std::span<const VmId> vm_of, std::vector<std::size_t>& position);
 
 }  // namespace cloudwf::sim

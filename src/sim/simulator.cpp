@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <optional>
-#include <queue>
 #include <sstream>
 #include <vector>
 
@@ -28,6 +26,9 @@ namespace {
 
 constexpr Seconds infinity = std::numeric_limits<Seconds>::infinity();
 
+/// End of a LinkQueue (no job).
+constexpr std::size_t no_job = std::numeric_limits<std::size_t>::max();
+
 /// Direction of a transfer relative to the VM.
 enum class Direction { upload, download };
 
@@ -40,8 +41,17 @@ struct TransferJob {
   dag::EdgeId edge = 0;                  // for edge_* kinds
   dag::TaskId task = dag::invalid_task;  // producer (uploads) / consumer (downloads)
   Bytes bytes = 0;
-  std::size_t attempts = 0;  // failed attempts so far (fault injection)
-  Seconds started = 0;       // last flow start (observability slice origin)
+  std::size_t attempts = 0;   // failed attempts so far (fault injection)
+  Seconds started = 0;        // last flow start (observability slice origin)
+  std::size_t next = no_job;  // successor in its VM's LinkQueue
+};
+
+/// FIFO of pending TransferJob indexes threaded through TransferJob::next:
+/// a queue owns no storage, so per-VM state resets by plain assignment.
+struct LinkQueue {
+  std::size_t head = no_job;
+  std::size_t tail = no_job;
+  [[nodiscard]] bool empty() const { return head == no_job; }
 };
 
 /// Engine events other than flow completions.
@@ -62,21 +72,31 @@ struct EventLater {
   }
 };
 
-/// One full execution; built fresh per Simulator::run call.
+/// Makespan and cost inputs of a finished execution (finalize()'s totals).
+struct Totals {
+  Seconds start_first = 0;
+  Seconds end_last = 0;
+  platform::CostBreakdown cost;
+  std::size_t used_vms = 0;
+  Dollars recovery_cost = 0;  // billed to fault-recovery VMs
+};
+
+/// The execution engine.  Simulator::run builds one per call; a Predictor
+/// keeps one as an arena and re-runs it per probe.
 ///
 /// The task-to-VM mapping starts as a copy of the static Schedule but is
 /// *mutable*: the online policy (paper Section VI) may interrupt a running
 /// task and restart it on a freshly provisioned VM of the fastest category,
 /// and fault recovery (faults.hpp) may re-home the work of a crashed VM.
+/// reset() clears or re-assigns every container instead of rebuilding it,
+/// so a reused arena runs without heap allocations once warm.
 class Execution {
  public:
   Execution(const dag::Workflow& wf, const platform::Platform& platform,
-            const Schedule& schedule, const dag::WeightRealization& weights,
-            const OnlinePolicy* policy, const FaultModel* faults,
-            const RecoveryPolicy* recovery, obs::EventBus* bus)
+            const dag::WeightRealization& weights, const OnlinePolicy* policy,
+            const FaultModel* faults, const RecoveryPolicy* recovery, obs::EventBus* bus)
       : wf_(wf),
         platform_(platform),
-        schedule_(schedule),
         weights_(weights),
         policy_(policy),
         faults_(faults),
@@ -87,7 +107,32 @@ class Execution {
     if (faults_ != nullptr && faults_->enabled()) injector_.emplace(*faults_);
   }
 
+  /// Validates \p schedule and copies its plan in; it must outlive the runs.
+  void load(const Schedule& schedule);
+
+  /// Runs the loaded plan and builds the full result.
   SimResult run();
+
+  /// Runs the loaded plan; returns only makespan and total cost.
+  Prediction predict();
+
+  // ---- arena interface (Predictor) ------------------------------------------
+
+  /// Pre-sizes per-run storage for a fault- and migration-free run of the
+  /// loaded plan plus one fresh VM.
+  void reserve_static();
+
+  /// Applies \p move to the loaded plan exactly as Schedule::apply would and
+  /// returns the task's former list index, for revert().
+  std::size_t apply(const Move& move);
+
+  /// Undoes apply(move) given the task's former VM and list index.
+  void revert(const Move& move, VmId from, std::size_t index);
+
+  /// The same-VM order rule of Schedule::validate on the current plan.
+  void validate_order() { validate_vm_order(wf_, plans_, vm_of_, position_); }
+
+  [[nodiscard]] VmId vm_of(dag::TaskId task) const { return vm_of_[task]; }
 
  private:
   // ---- state --------------------------------------------------------------
@@ -102,8 +147,8 @@ class Execution {
     Seconds busy = 0;  // total compute time
     std::size_t next_start_idx = 0;
     std::uint32_t free_procs = 0;
-    std::deque<std::size_t> queue_up;    // pending TransferJob indexes
-    std::deque<std::size_t> queue_down;  // pending TransferJob indexes
+    LinkQueue queue_up;    // pending uploads
+    LinkQueue queue_down;  // pending downloads
     bool uplink_busy = false;
     bool downlink_busy = false;
     std::size_t tasks_done = 0;
@@ -130,7 +175,7 @@ class Execution {
 
   const dag::Workflow& wf_;
   const platform::Platform& platform_;
-  const Schedule& schedule_;
+  const Schedule* schedule_ = nullptr;  // the loaded schedule (priorities)
   const dag::WeightRealization& weights_;
   const OnlinePolicy* policy_;         // nullptr = offline (static) execution
   const FaultModel* faults_;           // nullptr = no fault layer
@@ -143,6 +188,8 @@ class Execution {
   // Mutable mapping (seeded from schedule_, extended by migrations/recovery).
   std::vector<VmPlan> plans_;
   std::vector<VmId> vm_of_;
+  VmPlan spare_;                       // storage lent to a fresh VM by apply()
+  std::vector<std::size_t> position_;  // validate_vm_order scratch
 
   std::vector<VmState> vms_;
   std::vector<TaskState> tasks_;
@@ -151,7 +198,7 @@ class Execution {
   std::vector<bool> download_enqueued_;    // per edge
   std::vector<TransferJob> jobs_;
   std::vector<std::size_t> flow_to_job_;  // FlowId -> job index
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  std::vector<Event> events_;             // min-heap under EventLater
   std::uint64_t next_seq_ = 0;
   Seconds now_ = 0;
   std::size_t tasks_finished_ = 0;
@@ -168,7 +215,24 @@ class Execution {
 
   void push_event(Seconds time, Event::Kind kind, VmId vm, dag::TaskId task,
                   std::uint32_t epoch = 0, std::size_t job = 0) {
-    events_.push(Event{time, next_seq_++, kind, vm, task, epoch, job});
+    events_.push_back({time, next_seq_++, kind, vm, task, epoch, job});
+    std::push_heap(events_.begin(), events_.end(), EventLater{});
+  }
+
+  void push_job(LinkQueue& queue, std::size_t job_index) {
+    jobs_[job_index].next = no_job;
+    if (queue.empty())
+      queue.head = job_index;
+    else
+      jobs_[queue.tail].next = job_index;
+    queue.tail = job_index;
+  }
+
+  std::size_t pop_job(LinkQueue& queue) {
+    const std::size_t job_index = queue.head;
+    queue.head = jobs_[job_index].next;
+    if (queue.empty()) queue.tail = no_job;
+    return job_index;
   }
 
   /// Observability emission.  Callers must test `obs_` *before* building the
@@ -204,7 +268,7 @@ class Execution {
 
   [[nodiscard]] InstrPerSec vm_speed(VmId vm) const { return vm_category(vm).speed; }
 
-  void init();
+  void reset();
   void main_loop();
   void request_boot(VmId vm);
   void maybe_request_boot(VmId vm);
@@ -229,30 +293,97 @@ class Execution {
   void fail_task(dag::TaskId task);
   [[nodiscard]] Dollars committed_vm_cost() const;
   [[noreturn]] void report_deadlock() const;
+  [[nodiscard]] Totals totals() const;
   [[nodiscard]] SimResult finalize() const;
 };
 
-void Execution::init() {
-  schedule_.validate(wf_, platform_);
+void Execution::load(const Schedule& schedule) {
+  schedule.validate(wf_, platform_);
   require(weights_.size() == wf_.task_count(),
           "Simulator: weight realization size differs from workflow");
+  schedule_ = &schedule;
 
-  plans_.reserve(schedule_.vm_count() + 8);
-  vm_of_.resize(wf_.task_count());
-  for (VmId v = 0; v < schedule_.vm_count(); ++v) {
-    const auto tasks = schedule_.vm_tasks(v);
-    plans_.push_back(VmPlan{schedule_.vm_category(v), {tasks.begin(), tasks.end()}});
+  plans_.reserve(schedule.vm_count() + 8);
+  plans_.resize(schedule.vm_count());
+  for (VmId v = 0; v < schedule.vm_count(); ++v) {
+    const auto tasks = schedule.vm_tasks(v);
+    plans_[v].category = schedule.vm_category(v);
+    plans_[v].tasks.assign(tasks.begin(), tasks.end());
   }
-  for (dag::TaskId t = 0; t < wf_.task_count(); ++t) vm_of_[t] = schedule_.vm_of(t);
+  vm_of_.resize(wf_.task_count());
+  for (dag::TaskId t = 0; t < wf_.task_count(); ++t) vm_of_[t] = schedule.vm_of(t);
+}
 
-  vms_.resize(plans_.size());
+void Execution::reserve_static() {
+  // Without faults or migrations every cross-VM edge is uploaded and
+  // downloaded once and every external input/output moves once; each VM
+  // boots once and each task completes once.
+  const std::size_t transfers = 2 * wf_.edge_count() + 2 * wf_.task_count();
+  jobs_.reserve(transfers);
+  flow_to_job_.reserve(transfers);
+  fluid_.reserve(transfers);
+  events_.reserve(plans_.size() + 1 + wf_.task_count());
+  vms_.reserve(plans_.size() + 1);
+  for (VmPlan& plan : plans_) plan.tasks.reserve(plan.tasks.size() + 1);  // a moved-in task
+  spare_.tasks.reserve(wf_.task_count());
+  position_.reserve(wf_.task_count());
+}
+
+std::size_t Execution::apply(const Move& move) {
+  const VmId from = vm_of_[move.task];
+  auto& source = plans_[from].tasks;
+  const auto at = std::find(source.begin(), source.end(), move.task);
+  const auto index = static_cast<std::size_t>(at - source.begin());
+  source.erase(at);
+  if (move.fresh) {
+    plans_.push_back(std::move(spare_));
+    plans_.back().category = move.category;
+    plans_.back().tasks.clear();
+  }
+  // Schedule::insert_ordered: before the first strictly lower priority.
+  auto& target = plans_[move.vm].tasks;
+  const double priority = schedule_->priority(move.task);
+  const auto later = [&](dag::TaskId other) { return schedule_->priority(other) < priority; };
+  target.insert(std::find_if(target.begin(), target.end(), later), move.task);
+  vm_of_[move.task] = move.vm;
+  return index;
+}
+
+void Execution::revert(const Move& move, VmId from, std::size_t index) {
+  auto& target = plans_[move.vm].tasks;
+  target.erase(std::find(target.begin(), target.end(), move.task));
+  if (move.fresh) {
+    spare_ = std::move(plans_.back());
+    plans_.pop_back();
+  }
+  auto& source = plans_[from].tasks;
+  source.insert(source.begin() + static_cast<std::ptrdiff_t>(index), move.task);
+  vm_of_[move.task] = from;
+}
+
+void Execution::reset() {
+  vms_.assign(plans_.size(), VmState{});
   for (VmId v = 0; v < plans_.size(); ++v) vms_[v].free_procs = vm_category(v).processors;
 
-  tasks_.resize(wf_.task_count());
-  records_.resize(wf_.task_count());
+  tasks_.assign(wf_.task_count(), TaskState{});
+  records_.assign(wf_.task_count(), TaskRecord{});
   edge_at_dc_.assign(wf_.edge_count(), -1.0);
   edge_needs_transfer_.assign(wf_.edge_count(), false);
   download_enqueued_.assign(wf_.edge_count(), false);
+  jobs_.clear();
+  flow_to_job_.clear();
+  events_.clear();
+  fluid_.reset();
+  next_seq_ = 0;
+  now_ = 0;
+  tasks_finished_ = 0;
+  tasks_terminal_ = 0;
+  pending_retries_ = 0;
+  events_processed_ = 0;
+  transfers_done_ = 0;
+  transfer_bytes_ = 0;
+  migrations_ = 0;
+  stats_ = FaultStats{};
 
   for (dag::EdgeId e = 0; e < wf_.edge_count(); ++e) {
     const dag::Edge& edge = wf_.edge(e);
@@ -382,7 +513,7 @@ void Execution::enqueue_job(TransferJob job) {
   }
   jobs_.push_back(job);
   VmState& state = vms_[job.vm];
-  (is_upload ? state.queue_up : state.queue_down).push_back(jobs_.size() - 1);
+  push_job(is_upload ? state.queue_up : state.queue_down, jobs_.size() - 1);
   pump_link(job.vm, is_upload ? Direction::upload : Direction::download);
 }
 
@@ -391,8 +522,7 @@ void Execution::pump_link(VmId vm, Direction dir) {
   auto& queue = dir == Direction::upload ? state.queue_up : state.queue_down;
   bool& busy = dir == Direction::upload ? state.uplink_busy : state.downlink_busy;
   if (busy || queue.empty()) return;
-  const std::size_t job_index = queue.front();
-  queue.pop_front();
+  const std::size_t job_index = pop_job(queue);
   busy = true;
   TransferJob& job = jobs_[job_index];
   job.started = now_;
@@ -492,7 +622,7 @@ void Execution::on_transfer_retry(std::size_t job_index) {
     if (vm_of_[job.task] != job.vm || tasks_[job.task].failed) return;  // stale
   }
   VmState& state = vms_[job.vm];
-  (is_upload ? state.queue_up : state.queue_down).push_back(job_index);
+  push_job(is_upload ? state.queue_up : state.queue_down, job_index);
   pump_link(job.vm, is_upload ? Direction::upload : Direction::download);
 }
 
@@ -908,7 +1038,7 @@ void Execution::recover_tasks(VmId from, bool allow_provisioning) {
     std::vector<dag::TaskId> tail(plan.begin() + head, plan.end());
     tail.insert(tail.end(), pending.begin(), pending.end());
     std::stable_sort(tail.begin(), tail.end(), [this](dag::TaskId a, dag::TaskId b) {
-      return schedule_.priority(a) > schedule_.priority(b);
+      return schedule_->priority(a) > schedule_->priority(b);
     });
     plan.resize(static_cast<std::size_t>(head));
     plan.insert(plan.end(), tail.begin(), tail.end());
@@ -922,10 +1052,14 @@ void Execution::recover_tasks(VmId from, bool allow_provisioning) {
 
   // 5. Queued downloads of the dead host are void (in-flight ones are
   //    discarded on completion).
-  std::erase_if(vms_[from].queue_down, [this, from](std::size_t ji) {
+  LinkQueue kept;
+  for (std::size_t ji = vms_[from].queue_down.head; ji != no_job;) {
+    const std::size_t next = jobs_[ji].next;
     const TransferJob& j = jobs_[ji];
-    return vm_of_[j.task] != from || tasks_[j.task].failed;
-  });
+    if (vm_of_[j.task] == from && !tasks_[j.task].failed) push_job(kept, ji);
+    ji = next;
+  }
+  vms_[from].queue_down = kept;
 
   if (fresh) request_boot(target);
   for (TransferJob& job : uploads) enqueue_job(job);
@@ -993,7 +1127,7 @@ void Execution::main_loop() {
   while (tasks_terminal_ < wf_.task_count() || fluid_.active_count() > 0 ||
          pending_retries_ > 0) {
     const Seconds flow_time = fluid_.next_completion();
-    const Seconds event_time = events_.empty() ? infinity : events_.top().time;
+    const Seconds event_time = events_.empty() ? infinity : events_.front().time;
     if (flow_time == infinity && event_time == infinity) {
       if (tasks_terminal_ < wf_.task_count()) report_deadlock();
       break;
@@ -1005,8 +1139,9 @@ void Execution::main_loop() {
         on_flow_complete(flow);
       }
     } else {
-      const Event event = events_.top();
-      events_.pop();
+      std::pop_heap(events_.begin(), events_.end(), EventLater{});
+      const Event event = events_.back();
+      events_.pop_back();
       now_ = event.time;
       ++events_processed_;
       // Keep the fluid clock in sync so rates stay correct.
@@ -1041,21 +1176,58 @@ void Execution::report_deadlock() const {
   throw ValidationError(os.str());
 }
 
+Totals Execution::totals() const {
+  Totals totals;
+  Seconds start_first = infinity;
+  for (VmId v = 0; v < vms_.size(); ++v) {
+    const VmState& state = vms_[v];
+    // Every VM that came *up* bills, including one abandoned by a migration
+    // or killed by a crash; a provisioning that never succeeded is uncharged.
+    if (state.boot != BootState::up) continue;
+    const Seconds end = std::max(state.end, state.boot_done);
+    ++totals.used_vms;
+    start_first = std::min(start_first, state.boot_request);
+    totals.end_last = std::max(totals.end_last, end);
+    const platform::VmCategory& category = vm_category(v);
+    const Dollars vm_total =
+        platform::vm_cost(category, state.boot_done, end, platform_.billing_quantum());
+    totals.cost.vm_time += vm_total - category.setup_cost;
+    totals.cost.vm_setup += category.setup_cost;
+    if (state.recovery_vm) totals.recovery_cost += vm_total;
+  }
+  CLOUDWF_ASSERT(totals.used_vms > 0 || stats_.failed_tasks > 0);
+  totals.start_first = start_first == infinity ? 0 : start_first;  // nothing ever came up
+
+  if (totals.used_vms > 0) {
+    Bytes dc_footprint = wf_.external_input_bytes() + wf_.external_output_bytes();
+    for (dag::EdgeId e = 0; e < wf_.edge_count(); ++e)
+      if (edge_needs_transfer_[e]) dc_footprint += wf_.edge(e).bytes;
+    const platform::CostBreakdown dc =
+        platform::datacenter_cost(platform_, wf_.external_input_bytes(),
+                                  wf_.external_output_bytes(), totals.start_first,
+                                  totals.end_last, dc_footprint);
+    totals.cost.dc_time = dc.dc_time;
+    totals.cost.dc_transfer = dc.dc_transfer;
+  }
+  return totals;
+}
+
 SimResult Execution::finalize() const {
+  const Totals totals = this->totals();
   SimResult result;
   result.tasks = records_;
   result.vms.resize(vms_.size());
   result.migrations = migrations_;
   result.faults = stats_;
+  result.faults.recovery_cost = totals.recovery_cost;
   result.events_processed = events_processed_;
+  result.start_first = totals.start_first;
+  result.end_last = totals.end_last;
+  result.makespan = totals.end_last - totals.start_first;
+  result.cost = totals.cost;
+  result.used_vms = totals.used_vms;
 
-  Seconds start_first = infinity;
-  Seconds end_last = 0;
   std::vector<obs::Event> tail_events;  // synthesized shutdown/billing events
-  Bytes dc_footprint = wf_.external_input_bytes() + wf_.external_output_bytes();
-  for (dag::EdgeId e = 0; e < wf_.edge_count(); ++e)
-    if (edge_needs_transfer_[e]) dc_footprint += wf_.edge(e).bytes;
-
   for (VmId v = 0; v < vms_.size(); ++v) {
     const VmState& state = vms_[v];
     VmRecord& record = result.vms[v];
@@ -1067,22 +1239,12 @@ SimResult Execution::finalize() const {
     if (state.boot == BootState::unrequested) continue;
     record.boot_request = state.boot_request;
     record.boot_done = state.boot_done;
-    // Every VM that came *up* bills, including one abandoned by a migration
-    // or killed by a crash; a provisioning that never succeeded is uncharged.
     if (state.boot != BootState::up) continue;
     record.billed = true;
     record.end = std::max(state.end, state.boot_done);
     record.busy = state.busy;
-    ++result.used_vms;
-    start_first = std::min(start_first, state.boot_request);
-    end_last = std::max(end_last, record.end);
-    const platform::VmCategory& category = platform_.category(record.category);
-    const Dollars vm_total = platform::vm_cost(category, state.boot_done, record.end,
-                                               platform_.billing_quantum());
-    result.cost.vm_time += vm_total - category.setup_cost;
-    result.cost.vm_setup += category.setup_cost;
-    if (state.recovery_vm) result.faults.recovery_cost += vm_total;
     if (obs_) {
+      const platform::VmCategory& category = vm_category(v);
       // Billing-quantum boundaries crossed by this VM's billed interval,
       // synthesized at shutdown (the engine itself bills lazily).  Capped so
       // a pathological quantum cannot flood the trace.
@@ -1110,20 +1272,6 @@ SimResult Execution::finalize() const {
   std::stable_sort(tail_events.begin(), tail_events.end(),
                    [](const obs::Event& a, const obs::Event& b) { return a.time < b.time; });
   for (const obs::Event& event : tail_events) emit(event);
-  CLOUDWF_ASSERT(result.used_vms > 0 || stats_.failed_tasks > 0);
-  if (start_first == infinity) start_first = 0;  // nothing ever came up
-
-  result.start_first = start_first;
-  result.end_last = end_last;
-  result.makespan = end_last - start_first;
-
-  if (result.used_vms > 0) {
-    const platform::CostBreakdown dc =
-        platform::datacenter_cost(platform_, wf_.external_input_bytes(),
-                                  wf_.external_output_bytes(), start_first, end_last, dc_footprint);
-    result.cost.dc_time = dc.dc_time;
-    result.cost.dc_transfer = dc.dc_transfer;
-  }
 
   result.transfers.count = transfers_done_;
   result.transfers.bytes = transfer_bytes_;
@@ -1132,11 +1280,18 @@ SimResult Execution::finalize() const {
 }
 
 SimResult Execution::run() {
-  init();
+  reset();
   main_loop();
   SimResult result = finalize();
   if (obs_) bus_->flush();
   return result;
+}
+
+Prediction Execution::predict() {
+  reset();
+  main_loop();
+  const Totals totals = this->totals();
+  return {totals.end_last - totals.start_first, totals.cost.total()};
 }
 
 /// Process-wide post-run hook (see simulator.hpp).  Relaxed ordering is
@@ -1146,7 +1301,96 @@ std::atomic<PostRunCheck>& post_run_check_storage() {
   return hook;
 }
 
+/// One Simulator::run* call: a fresh engine, then the post-run hook.
+SimResult execute(const dag::Workflow& wf, const platform::Platform& platform,
+                  const Schedule& schedule, const dag::WeightRealization& weights,
+                  const OnlinePolicy* policy, const FaultModel* faults,
+                  const RecoveryPolicy* recovery, obs::EventBus* bus) {
+  Execution execution(wf, platform, weights, policy, faults, recovery, bus);
+  execution.load(schedule);
+  const SimResult result = execution.run();
+  if (const PostRunCheck hook = post_run_check()) hook(wf, platform, schedule, result);
+  return result;
+}
+
 }  // namespace
+
+class Predictor::Engine {
+ public:
+  Engine(const dag::Workflow& wf, const platform::Platform& platform, const Schedule& base)
+      : wf_(wf),
+        platform_(platform),
+        weights_(dag::conservative_weights(wf)),
+        arena_(wf, platform, weights_, nullptr, nullptr, nullptr, nullptr),
+        base_(wf.task_count()),
+        checked_(wf.task_count()) {
+    rebase(base);
+  }
+
+  void rebase(const Schedule& schedule) {
+    base_ = schedule;
+    arena_.load(base_);
+    arena_.reserve_static();
+  }
+
+  Prediction predict() {
+    if (const PostRunCheck hook = post_run_check()) {
+      const SimResult result = arena_.run();
+      hook(wf_, platform_, base_, result);
+      return {result.makespan, result.total_cost()};
+    }
+    return arena_.predict();
+  }
+
+  Prediction predict(const Move& move) {
+    require(move.task < wf_.task_count(), "Predictor::predict: task out of range");
+    require(move.fresh ? move.vm == base_.vm_count() && move.category < platform_.category_count()
+                       : move.vm < base_.vm_count(),
+            "Predictor::predict: move target is not a VM of the base schedule");
+    // The delta is reverted on every exit, including a throwing check.
+    struct Revert {
+      Execution& arena;
+      const Move& move;
+      VmId from;
+      std::size_t index;
+      ~Revert() { arena.revert(move, from, index); }
+    };
+    const VmId from = arena_.vm_of(move.task);
+    const Revert revert{arena_, move, from, arena_.apply(move)};
+    arena_.validate_order();
+
+    if (const PostRunCheck hook = post_run_check()) {
+      checked_ = base_;
+      checked_.apply(move);
+      const SimResult result = arena_.run();
+      hook(wf_, platform_, checked_, result);
+      return {result.makespan, result.total_cost()};
+    }
+    return arena_.predict();
+  }
+
+ private:
+  const dag::Workflow& wf_;
+  const platform::Platform& platform_;
+  const dag::WeightRealization weights_;
+  Execution arena_;
+  Schedule base_;     // the plan probes apply their move to
+  Schedule checked_;  // base_ plus the move, built only for the post-run hook
+};
+
+Predictor::Predictor(const dag::Workflow& wf, const platform::Platform& platform,
+                     const Schedule& base) {
+  require(wf.frozen(), "Predictor: workflow must be frozen");
+  engine_ = std::make_unique<Engine>(wf, platform, base);
+}
+
+Predictor::~Predictor() = default;
+
+void Predictor::rebase(const Schedule& schedule) { engine_->rebase(schedule); }
+
+Prediction Predictor::predict() { return engine_->predict(); }
+
+Prediction Predictor::predict(const Move& move) { return engine_->predict(move); }
 
 void set_post_run_check(PostRunCheck hook) noexcept {
   post_run_check_storage().store(hook, std::memory_order_relaxed);
@@ -1163,20 +1407,14 @@ Simulator::Simulator(const dag::Workflow& wf, const platform::Platform& platform
 }
 
 SimResult Simulator::run(const Schedule& schedule, const dag::WeightRealization& weights) const {
-  Execution execution(wf_, platform_, schedule, weights, nullptr, nullptr, nullptr, bus_);
-  const SimResult result = execution.run();
-  if (const PostRunCheck hook = post_run_check()) hook(wf_, platform_, schedule, result);
-  return result;
+  return execute(wf_, platform_, schedule, weights, nullptr, nullptr, nullptr, bus_);
 }
 
 SimResult Simulator::run_online(const Schedule& schedule, const dag::WeightRealization& weights,
                                 const OnlinePolicy& policy) const {
   require(policy.timeout_sigmas >= 0, "run_online: negative timeout_sigmas");
   require(policy.min_speedup >= 1.0, "run_online: min_speedup must be >= 1");
-  Execution execution(wf_, platform_, schedule, weights, &policy, nullptr, nullptr, bus_);
-  const SimResult result = execution.run();
-  if (const PostRunCheck hook = post_run_check()) hook(wf_, platform_, schedule, result);
-  return result;
+  return execute(wf_, platform_, schedule, weights, &policy, nullptr, nullptr, bus_);
 }
 
 SimResult Simulator::run_with_faults(const Schedule& schedule,
@@ -1185,10 +1423,7 @@ SimResult Simulator::run_with_faults(const Schedule& schedule,
                                      const RecoveryPolicy& recovery) const {
   faults.validate();
   recovery.validate();
-  Execution execution(wf_, platform_, schedule, weights, nullptr, &faults, &recovery, bus_);
-  const SimResult result = execution.run();
-  if (const PostRunCheck hook = post_run_check()) hook(wf_, platform_, schedule, result);
-  return result;
+  return execute(wf_, platform_, schedule, weights, nullptr, &faults, &recovery, bus_);
 }
 
 SimResult Simulator::run_conservative(const Schedule& schedule) const {

@@ -24,9 +24,10 @@
 ///    that capacity max-min fairly (the contention mode).
 ///
 /// The same engine doubles as the deterministic predictor of Algorithm 5:
-/// run it with dag::conservative_weights(wf).
+/// run it with dag::conservative_weights(wf), or through a Predictor.
 
 #include <limits>
+#include <memory>
 
 #include "dag/stochastic.hpp"
 #include "dag/workflow.hpp"
@@ -105,6 +106,51 @@ class Simulator {
   const dag::Workflow& wf_;
   const platform::Platform& platform_;
   obs::EventBus* bus_;
+};
+
+/// Makespan and total cost of one conservative run: what the refinement
+/// loops compare.
+struct Prediction {
+  Seconds makespan = 0;
+  Dollars cost = 0;
+};
+
+/// The deterministic predictor of the refinement loops (Algorithm 5, CG+):
+/// Simulator::run_conservative() of a base schedule with one Move applied,
+/// without copying the schedule or building a SimResult.
+///
+/// One Predictor serves one refinement call and is not thread-safe.  It
+/// computes the conservative weights once and keeps one engine arena that
+/// every probe resets, so a probe allocates nothing once the first has run.
+/// A probe applies its move as a delta to the predictor's own copy of the
+/// plan and reverts it afterwards.  Predictions equal run_conservative() bit
+/// for bit.  While a post-run hook is installed (CLOUDWF_CHECK=1), every
+/// probe also builds the moved Schedule and the full SimResult and passes
+/// them to the hook, exactly as run_conservative() does.
+class Predictor {
+ public:
+  /// Both references must outlive the predictor; \p wf must be frozen.
+  /// Probes apply their move to a copy of \p base (see rebase()).
+  Predictor(const dag::Workflow& wf, const platform::Platform& platform, const Schedule& base);
+  ~Predictor();
+  Predictor(const Predictor&) = delete;
+  Predictor& operator=(const Predictor&) = delete;
+
+  /// Makes a copy of \p schedule the base of later probes (after the caller
+  /// applied a move); validates it (ValidationError) like a run would.
+  void rebase(const Schedule& schedule);
+
+  /// Prediction of the base schedule.
+  [[nodiscard]] Prediction predict();
+
+  /// Prediction of the base schedule with \p move applied (the move must be
+  /// valid for the base: see Move).  Throws ValidationError if the move puts
+  /// a task before its same-VM predecessor, like run_conservative() would.
+  [[nodiscard]] Prediction predict(const Move& move);
+
+ private:
+  class Engine;
+  std::unique_ptr<Engine> engine_;
 };
 
 /// Extracts the schedule's critical path from a SimResult: the chain of

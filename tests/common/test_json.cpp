@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "testing/helpers.hpp"
 
 namespace cloudwf {
 namespace {
@@ -102,6 +103,16 @@ TEST(Json, FindReturnsNullForMissing) {
   const Json doc = Json::parse(R"({"a":1})");
   EXPECT_EQ(doc.as_object().find("b"), nullptr);
   EXPECT_NE(doc.as_object().find("a"), nullptr);
+}
+
+TEST(Json, ParseErrorsKeepTypeTextAndOffset) {
+  // The offset of "expected ':'" is where the key ended, before whitespace.
+  EXPECT_EQ(testing::exact_error<InvalidArgument>([] { (void)Json::parse("{\"name\"   \n  1}"); }),
+            "Json::parse: expected ':' at offset 7");
+  EXPECT_EQ(testing::exact_error<InvalidArgument>([] { (void)Json::parse("{\"a\":1} x"); }),
+            "Json::parse: trailing characters after JSON document at offset 8");
+  EXPECT_EQ(testing::exact_error<InvalidArgument>([] { (void)Json::parse("{}").at("k"); }),
+            "Json: missing key 'k'");
 }
 
 }  // namespace

@@ -150,5 +150,13 @@ TEST(Dax, LoadMissingFileThrows) {
   EXPECT_THROW((void)load_dax("/no/such/file.dax"), InvalidArgument);
 }
 
+TEST(Dax, UnterminatedElementKeepsTypeTextAndOffset) {
+  EXPECT_EQ(testing::exact_error<InvalidArgument>([] { (void)from_dax("<adag><job id=\"a\">"); }),
+            "parse_xml: unterminated element <job> at offset 18");
+  EXPECT_EQ(
+      testing::exact_error<InvalidArgument>([] { (void)from_dax("<adag><job id=\"a\"></job>"); }),
+      "parse_xml: unterminated element <adag> at offset 24");
+}
+
 }  // namespace
 }  // namespace cloudwf::dag

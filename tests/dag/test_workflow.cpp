@@ -155,5 +155,18 @@ TEST(Workflow, OutOfRangeAccessThrows) {
   EXPECT_THROW((void)wf.in_edges(99), InvalidArgument);
 }
 
+TEST(Workflow, CheckMessagesSurviveLazyFormatting) {
+  // Check messages are built only on failure; type and text stay as before.
+  Workflow wf("w");
+  wf.add_task("A", 1, 0);
+  EXPECT_EQ(testing::exact_error<InvalidArgument>([&] { (void)wf.in_edges(0); }),
+            "Workflow::in_edges: workflow not frozen");
+  wf.freeze();
+  EXPECT_EQ(testing::exact_error<InvalidArgument>([&] { (void)wf.task(7); }),
+            "Workflow::task: id out of range");
+  EXPECT_EQ(testing::exact_error<InvalidArgument>([&] { wf.add_task("B", 1, 0); }),
+            "Workflow::add_task: workflow already frozen");
+}
+
 }  // namespace
 }  // namespace cloudwf::dag

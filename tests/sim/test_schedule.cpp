@@ -154,5 +154,21 @@ TEST(Schedule, PriorityAfterAssignRejected) {
   EXPECT_THROW(s.set_priority(0, 1.0), InvalidArgument);
 }
 
+TEST(Schedule, MisorderedSameVmEdgeKeepsItsMessage) {
+  // chain3 is A -> B -> C; B is listed before its producer A on one VM.
+  const auto wf = testing::chain3();
+  const auto platform = testing::toy_platform();
+  Schedule s(3);
+  const VmId v0 = s.add_vm(0);
+  const VmId v1 = s.add_vm(1);
+  s.set_priority(0, 1.0);
+  s.set_priority(1, 2.0);
+  s.assign(0, v0);
+  s.assign(1, v0);
+  s.assign(2, v1);
+  EXPECT_EQ(testing::exact_error<ValidationError>([&] { s.validate(wf, platform); }),
+            "Schedule::validate: task B ordered before its same-VM predecessor A");
+}
+
 }  // namespace
 }  // namespace cloudwf::sim

@@ -3,11 +3,29 @@
 /// \file helpers.hpp
 /// \brief Shared fixtures for the cloudwf test suite.
 
+#include <exception>
+#include <string>
+#include <typeinfo>
+
 #include "common/units.hpp"
 #include "dag/workflow.hpp"
 #include "platform/platform.hpp"
 
 namespace cloudwf::testing {
+
+/// The what() text of the exception \p body throws when its dynamic type is
+/// exactly \p E; otherwise a description of what happened instead.  Pins an
+/// error's type and text together.
+template <class E, class Body>
+std::string exact_error(Body&& body) {
+  try {
+    body();
+  } catch (const std::exception& error) {
+    if (typeid(error) == typeid(E)) return error.what();
+    return std::string("unexpected exception type: ") + typeid(error).name();
+  }
+  return "no exception";
+}
 
 /// A diamond DAG:  A -> {B, C} -> D, with easy round numbers.
 ///   weights: A=100, B=200, C=300, D=100 (stddev 0 unless \p stddev_ratio)
