@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/error.hpp"
+#include "common/fnv1a.hpp"
 
 namespace cloudwf::dag {
 
@@ -102,7 +103,28 @@ void Workflow::freeze() {
   total_edge_bytes_ = 0;
   for (const Edge& e : edges_) total_edge_bytes_ += e.bytes;
 
+  Fnv1a hash;
+  hash.u64(n);
+  for (TaskId t = 0; t < n; ++t) {
+    hash.f64(tasks_[t].mean_weight);
+    hash.f64(tasks_[t].weight_stddev);
+    hash.f64(external_input_[t]);
+    hash.f64(external_output_[t]);
+  }
+  hash.u64(edges_.size());
+  for (const Edge& e : edges_) {
+    hash.u64(e.src);
+    hash.u64(e.dst);
+    hash.f64(e.bytes);
+  }
+  content_hash_ = hash.value();
+
   frozen_ = true;
+}
+
+std::uint64_t Workflow::content_hash() const {
+  require_frozen("content_hash");
+  return content_hash_;
 }
 
 const Task& Workflow::task(TaskId id) const {

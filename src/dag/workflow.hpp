@@ -9,6 +9,7 @@
 /// and a topological order.  All scheduling and simulation code requires a
 /// frozen workflow.
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -94,6 +95,10 @@ class Workflow {
   [[nodiscard]] Bytes external_output_of(TaskId task) const;
   /// Sum of incoming edge sizes of \p task (size(d_pred,T), Eq. 6).
   [[nodiscard]] Bytes predecessor_bytes(TaskId task) const;
+  /// FNV-1a fingerprint of everything but the names: task weights, edges
+  /// with their sizes and external data, in id order.  Workflows with equal
+  /// hashes schedule and simulate identically (sched::PlanCache's key).
+  [[nodiscard]] std::uint64_t content_hash() const;
 
  private:
   void require_frozen(const char* fn) const;
@@ -116,6 +121,7 @@ class Workflow {
   Instructions total_mean_weight_ = 0;
   Instructions total_conservative_weight_ = 0;
   Bytes total_edge_bytes_ = 0;
+  std::uint64_t content_hash_ = 0;
 };
 
 }  // namespace cloudwf::dag

@@ -1,13 +1,14 @@
 #include "exp/campaign.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <ostream>
 
 #include "common/error.hpp"
+#include "common/fnv1a.hpp"
 #include "common/table.hpp"
 #include "dag/stochastic.hpp"
 #include "exp/checkpoint.hpp"
@@ -22,19 +23,14 @@ namespace {
 /// numbers).  Names the journal file, and salts request fingerprints so a
 /// journal can never be replayed against a different configuration.
 std::uint64_t campaign_config_hash(const CampaignConfig& config) {
-  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  Fnv1a hash;
   const auto mix = [&hash](std::uint64_t v) {
     for (std::size_t i = 0; i < sizeof v; ++i, v >>= 8) {
-      hash ^= v & 0xFF;
-      hash *= 0x100000001B3ULL;
+      const auto byte = static_cast<unsigned char>(v & 0xFF);
+      hash.mix(&byte, 1);
     }
   };
-  const auto mix_double = [&](double d) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof d);
-    std::memcpy(&bits, &d, sizeof bits);
-    mix(bits);
-  };
+  const auto mix_double = [&](double d) { mix(std::bit_cast<std::uint64_t>(d)); };
   mix(static_cast<std::uint64_t>(config.type));
   mix(config.tasks);
   mix(config.instances);
@@ -49,14 +45,7 @@ std::uint64_t campaign_config_hash(const CampaignConfig& config) {
     for (const char c : algorithm) mix(static_cast<unsigned char>(c));
     mix(0x1F);  // separator: {"a","bc"} != {"ab","c"}
   }
-  return hash;
-}
-
-std::string hash_hex(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4) out[static_cast<std::size_t>(i)] = digits[v & 0xF];
-  return out;
+  return hash.value();
 }
 
 }  // namespace
@@ -149,7 +138,7 @@ CampaignResult run_campaign(const platform::Platform& platform, const CampaignCo
     const std::filesystem::path path =
         std::filesystem::path(config.checkpoint_dir) /
         ("campaign-" + std::string(pegasus::to_string(config.type)) + "-" +
-         hash_hex(policy.fingerprint_salt) + ".jsonl");
+         hex64(policy.fingerprint_salt) + ".jsonl");
     journal = std::make_unique<CheckpointJournal>(path.string(), config.resume);
     policy.journal = journal.get();
     result.journal_path = path.string();

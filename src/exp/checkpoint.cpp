@@ -1,12 +1,12 @@
 #include "exp/checkpoint.hpp"
 
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/fnv1a.hpp"
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -29,35 +29,6 @@ Summary summary_from_json(const Json& json) {
   values.reserve(json.as_array().size());
   for (const Json& v : json.as_array()) values.push_back(v.as_number());
   return Summary(std::move(values));
-}
-
-/// FNV-1a 64-bit, fed field-by-field with a separator so adjacent fields
-/// cannot alias ("ab"+"c" vs "a"+"bc").
-class Fnv1a {
- public:
-  void bytes(const void* data, std::size_t size) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001B3ULL;
-    }
-    hash_ ^= 0x1F;  // field separator
-    hash_ *= 0x100000001B3ULL;
-  }
-  void str(std::string_view s) { bytes(s.data(), s.size()); }
-  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
-};
-
-std::string hex64(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4) out[static_cast<std::size_t>(i)] = digits[v & 0xF];
-  return out;
 }
 
 }  // namespace

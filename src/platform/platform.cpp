@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/fnv1a.hpp"
 
 namespace cloudwf::platform {
 
@@ -50,6 +51,20 @@ Platform::Platform(std::string name, std::vector<VmCategory> categories, Seconds
       fastest_ = id;
   }
   mean_speed_ = speed_sum / static_cast<double>(categories_.size());
+
+  Fnv1a hash;
+  hash.u64(categories_.size());
+  for (const VmCategory& c : categories_) {
+    hash.f64(c.speed);
+    hash.f64(c.price_per_second);
+    hash.f64(c.setup_cost);
+    hash.u64(c.processors);
+  }
+  for (const double field : {boot_delay_, bandwidth_, dc_storage_price_per_byte_second_,
+                             dc_transfer_price_per_byte_, dc_aggregate_bandwidth_,
+                             billing_quantum_})
+    hash.f64(field);
+  content_hash_ = hash.value();
 }
 
 const VmCategory& Platform::category(CategoryId id) const {

@@ -3,6 +3,7 @@
 /// \file platform.hpp
 /// \brief IaaS platform model: VM categories + datacenter (Section III-B).
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,6 +77,10 @@ class Platform {
   /// from continuous at workflow time scales, so it is the default.
   [[nodiscard]] Seconds billing_quantum() const { return billing_quantum_; }
 
+  /// FNV-1a fingerprint of every field but the names.  Platforms with equal
+  /// hashes schedule and simulate identically (sched::PlanCache's key).
+  [[nodiscard]] std::uint64_t content_hash() const { return content_hash_; }
+
  private:
   std::string name_;
   std::vector<VmCategory> categories_;
@@ -88,6 +93,7 @@ class Platform {
   InstrPerSec mean_speed_ = 0;
   CategoryId cheapest_ = 0;
   CategoryId fastest_ = 0;
+  std::uint64_t content_hash_ = 0;
 };
 
 /// Fluent builder for Platform.

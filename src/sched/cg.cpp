@@ -166,13 +166,15 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
     std::optional<sim::Move> best;
     for (dag::TaskId task : sim::schedule_critical_path(current)) {
       for_each_move(schedule, platform.category_count(), task, [&](const sim::Move& move) {
-        const sim::Prediction result = predictor.predict(move);
-        const Seconds dt = current.makespan - result.makespan;
-        const Dollars dc = result.cost - current.total_cost();
+        // A move whose makespan cannot drop below the current one has dt <= 0.
+        const std::optional<sim::Prediction> result = predictor.predict(move, current.makespan);
+        if (!result) return;
+        const Seconds dt = current.makespan - result->makespan;
+        const Dollars dc = result->cost - current.total_cost();
         // Faithful CG+ rule: only time-improving, cost-increasing moves have
         // a positive ratio; cheaper-and-faster moves are (wrongly) skipped.
         if (dt <= time_epsilon || dc <= money_epsilon) return;
-        if (result.cost > input.budget + money_epsilon) return;
+        if (result->cost > input.budget + money_epsilon) return;
         const double ratio = dt / dc;
         if (ratio > best_ratio) {
           best_ratio = ratio;

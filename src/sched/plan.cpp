@@ -18,7 +18,7 @@ WorkflowPlan WorkflowPlan::build(const dag::Workflow& wf, const platform::Platfo
 
 const WorkflowPlan& PlanCache::get(const dag::Workflow& wf,
                                    const platform::Platform& platform) {
-  const Key key{&wf, &platform};
+  const Key key{wf.content_hash(), platform.content_hash()};
   const std::scoped_lock lock(mutex_);
   auto it = plans_.find(key);
   if (it == plans_.end()) {

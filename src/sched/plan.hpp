@@ -16,6 +16,7 @@
 /// double sequence the ad-hoc computation produces (same functions, same
 /// iteration order), and only budget-independent quantities are cached.
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -43,11 +44,11 @@ struct WorkflowPlan {
                                           const platform::Platform& platform);
 };
 
-/// Thread-safe plan store keyed by (workflow, platform) identity.  Both keys
-/// are raw addresses: the workflow and platform must be stable objects that
-/// outlive the cache (true for experiment matrices, where workflows live in
-/// the campaign and the platform in the caller).  get() builds on first use
-/// and returns a reference that stays valid for the cache's lifetime.
+/// Thread-safe plan store keyed by (workflow, platform) content: the pair of
+/// Workflow::content_hash() and Platform::content_hash().  Equal copies share
+/// one plan, and a workflow built where a destroyed one lived gets its own.
+/// get() builds on first use and returns a reference that stays valid for the
+/// cache's lifetime; the workflow and platform need not outlive the cache.
 class PlanCache {
  public:
   [[nodiscard]] const WorkflowPlan& get(const dag::Workflow& wf,
@@ -57,7 +58,7 @@ class PlanCache {
   [[nodiscard]] std::size_t size() const;
 
  private:
-  using Key = std::pair<const dag::Workflow*, const platform::Platform*>;
+  using Key = std::pair<std::uint64_t, std::uint64_t>;
   mutable std::mutex mutex_;
   std::map<Key, std::unique_ptr<const WorkflowPlan>> plans_;
 };

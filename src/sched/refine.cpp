@@ -18,9 +18,11 @@ std::size_t refine_by_resimulation(const SchedulerInput& input, sim::Schedule& s
   for (const dag::TaskId task : order) {
     std::optional<sim::Move> selected;
     for_each_move(schedule, input.platform.category_count(), task, [&](const sim::Move& move) {
-      const sim::Prediction result = predictor.predict(move);
-      if (result.makespan < best_makespan && result.cost <= input.budget + money_epsilon) {
-        best_makespan = result.makespan;
+      // Acceptance needs a strictly lower makespan: best_makespan is the cutoff.
+      const std::optional<sim::Prediction> result = predictor.predict(move, best_makespan);
+      if (result && result->makespan < best_makespan &&
+          result->cost <= input.budget + money_epsilon) {
+        best_makespan = result->makespan;
         selected = move;
       }
     });

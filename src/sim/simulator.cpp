@@ -5,7 +5,9 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -133,6 +135,8 @@ class Execution {
   void validate_order() { validate_vm_order(wf_, plans_, vm_of_, position_); }
 
   [[nodiscard]] VmId vm_of(dag::TaskId task) const { return vm_of_[task]; }
+  [[nodiscard]] std::span<const VmPlan> plans() const { return plans_; }
+  [[nodiscard]] std::span<const VmId> assignment() const { return vm_of_; }
 
  private:
   // ---- state --------------------------------------------------------------
@@ -1294,6 +1298,135 @@ Prediction Execution::predict() {
   return {totals.end_last - totals.start_first, totals.cost.total()};
 }
 
+/// Static lower bound on the makespan of a fault-free run of a plan with
+/// fixed weights (DESIGN.md §12, "Makespan lower bound"): a longest path over
+/// precedence edges plus VM-list edges that keeps the engine's boot, start
+/// and transfer rules but drops per-link FIFO queueing and datacenter
+/// contention, both of which only delay a run.  O(tasks + edges) per call
+/// and allocation-free once constructed.
+class MakespanBound {
+ public:
+  MakespanBound(const dag::Workflow& wf, const platform::Platform& platform,
+                const dag::WeightRealization& weights)
+      : wf_(wf),
+        platform_(platform),
+        weights_(weights),
+        // FluidNetwork::advance completes a flow up to one nanosecond early,
+        // and a run has at most this many flows.
+        slack_(1e-9 * static_cast<double>(2 * wf.edge_count() + 2 * wf.task_count())),
+        pending_(wf.task_count()),
+        prev_(wf.task_count()),
+        next_(wf.task_count()),
+        boot_(wf.task_count()),
+        start_(wf.task_count()),
+        finish_(wf.task_count()) {
+    const BytesPerSec bw = platform.bandwidth();
+    arc_.reserve(wf.edge_count());
+    for (const dag::Edge& edge : wf.edges()) arc_.push_back(edge.bytes / bw);
+    for (dag::TaskId t = 0; t < wf.task_count(); ++t) {
+      in_degree_.push_back(static_cast<std::uint32_t>(wf.in_edges(t).size()));
+      input_arc_.push_back(wf.external_input_of(t) / bw);
+      output_arc_.push_back(wf.external_output_of(t) / bw);
+    }
+    ready_.reserve(wf.task_count());
+  }
+
+  /// The bound for the plan \p plans with task placement \p vm_of, or
+  /// nullopt when precedence plus list order has a cycle (the run deadlocks).
+  [[nodiscard]] std::optional<Seconds> operator()(std::span<const VmPlan> plans,
+                                                  std::span<const VmId> vm_of);
+
+ private:
+  const dag::Workflow& wf_;
+  const platform::Platform& platform_;
+  const dag::WeightRealization& weights_;
+  const Seconds slack_;
+  std::vector<Seconds> arc_;                // per edge: bytes / bw
+  std::vector<Seconds> input_arc_;          // per task: external input / bw
+  std::vector<Seconds> output_arc_;         // per task: external output / bw
+  std::vector<std::uint32_t> in_degree_;    // per task: precedence in-degree
+  // Per-call scratch, per task.
+  std::vector<std::uint32_t> pending_;  // unprocessed predecessors (edges + list)
+  std::vector<dag::TaskId> prev_;       // list predecessor on its VM
+  std::vector<dag::TaskId> next_;       // list successor on its VM
+  std::vector<Seconds> boot_;           // boot_done of its VM
+  std::vector<Seconds> start_;
+  std::vector<Seconds> finish_;
+  std::vector<dag::TaskId> ready_;  // Kahn stack
+};
+
+std::optional<Seconds> MakespanBound::operator()(std::span<const VmPlan> plans,
+                                                 std::span<const VmId> vm_of) {
+  const obs::ProfileScope scope("sim.bound");
+  pending_ = in_degree_;
+  for (const VmPlan& plan : plans) {
+    dag::TaskId prev = dag::invalid_task;
+    for (const dag::TaskId t : plan.tasks) {
+      prev_[t] = prev;
+      if (prev != dag::invalid_task) {
+        next_[prev] = t;
+        ++pending_[t];
+      }
+      prev = t;
+    }
+    if (prev != dag::invalid_task) next_[prev] = dag::invalid_task;
+  }
+  ready_.clear();
+  for (dag::TaskId t = 0; t < wf_.task_count(); ++t)
+    if (pending_[t] == 0) ready_.push_back(t);
+
+  // The first task popped has no predecessor at all, so its VM books at time
+  // zero and start_first = 0: the makespan is the end of the run.
+  const std::span<const dag::Edge> edges = wf_.edges();
+  Seconds end = 0;
+  std::size_t processed = 0;
+  while (!ready_.empty()) {
+    const dag::TaskId t = ready_.back();
+    ready_.pop_back();
+    ++processed;
+    const VmId vm = vm_of[t];
+    const platform::VmCategory& category = platform_.category(plans[vm].category);
+    const std::span<const dag::EdgeId> in = wf_.in_edges(t);
+    const dag::TaskId prev = prev_[t];
+    Seconds start = 0;
+    if (prev == dag::invalid_task) {
+      // The VM books once the cross-VM inputs of its first task are uploaded.
+      Seconds request = 0;
+      for (const dag::EdgeId e : in)
+        if (vm_of[edges[e].src] != vm) request = std::max(request, finish_[edges[e].src] + arc_[e]);
+      boot_[t] = request + platform_.boot_delay();
+      end = std::max(end, boot_[t]);
+      start = boot_[t];
+    } else {
+      // List order: a single processor frees at the previous finish; more
+      // processors still start tasks in list order.
+      boot_[t] = boot_[prev];
+      start = std::max(boot_[t], category.processors == 1 ? finish_[prev] : start_[prev]);
+    }
+    start = std::max(start, boot_[t] + input_arc_[t]);
+    for (const dag::EdgeId e : in) {
+      const dag::TaskId src = edges[e].src;
+      if (vm_of[src] == vm) {
+        start = std::max(start, finish_[src]);
+      } else {
+        // Uploaded, then downloaded once the VM is up.
+        start = std::max(start, std::max(finish_[src] + arc_[e], boot_[t]) + arc_[e]);
+      }
+    }
+    start_[t] = start;
+    finish_[t] = start + weights_[t] / category.speed;
+    end = std::max(end, finish_[t] + output_arc_[t]);
+
+    for (const dag::EdgeId e : wf_.out_edges(t))
+      if (--pending_[edges[e].dst] == 0) ready_.push_back(edges[e].dst);
+    if (next_[t] != dag::invalid_task && --pending_[next_[t]] == 0) ready_.push_back(next_[t]);
+  }
+  if (processed < wf_.task_count()) return std::nullopt;
+  // Early flow completions, plus rounding (the engine sums the same times in
+  // a different order).
+  return end - slack_ - 1e-12 * end;
+}
+
 /// Process-wide post-run hook (see simulator.hpp).  Relaxed ordering is
 /// enough: installation happens once at startup, before any simulation.
 std::atomic<PostRunCheck>& post_run_check_storage() {
@@ -1322,6 +1455,7 @@ class Predictor::Engine {
         platform_(platform),
         weights_(dag::conservative_weights(wf)),
         arena_(wf, platform, weights_, nullptr, nullptr, nullptr, nullptr),
+        bound_(wf, platform, weights_),
         base_(wf.task_count()),
         checked_(wf.task_count()) {
     rebase(base);
@@ -1342,11 +1476,41 @@ class Predictor::Engine {
     return arena_.predict();
   }
 
-  Prediction predict(const Move& move) {
-    require(move.task < wf_.task_count(), "Predictor::predict: task out of range");
+  std::optional<Prediction> predict(const Move& move, Seconds cutoff) {
+    return with_move(move, [&]() -> std::optional<Prediction> {
+      const std::optional<Seconds> bound = bound_(arena_.plans(), arena_.assignment());
+      if (const PostRunCheck hook = post_run_check()) {
+        // Checked mode simulates every probe and audits the bound too.
+        checked_ = base_;
+        checked_.apply(move);
+        const SimResult result = arena_.run();
+        hook(wf_, platform_, checked_, result);
+        if (bound && result.makespan < *bound) {
+          std::ostringstream os;
+          os.precision(17);
+          os << "Predictor: makespan " << result.makespan << " of a move of task "
+             << wf_.task(move.task).name << " is below its lower bound " << *bound;
+          throw InternalError(os.str());
+        }
+        return Prediction{result.makespan, result.total_cost()};
+      }
+      if (bound && *bound >= cutoff) return std::nullopt;
+      return arena_.predict();
+    });
+  }
+
+  std::optional<Seconds> lower_bound(const Move& move) {
+    return with_move(move, [&] { return bound_(arena_.plans(), arena_.assignment()); });
+  }
+
+ private:
+  /// Runs \p probe on the arena's plan with \p move applied and validated.
+  template <class Probe>
+  std::invoke_result_t<Probe> with_move(const Move& move, Probe&& probe) {
+    require(move.task < wf_.task_count(), "Predictor: move task out of range");
     require(move.fresh ? move.vm == base_.vm_count() && move.category < platform_.category_count()
                        : move.vm < base_.vm_count(),
-            "Predictor::predict: move target is not a VM of the base schedule");
+            "Predictor: move target is not a VM of the base schedule");
     // The delta is reverted on every exit, including a throwing check.
     struct Revert {
       Execution& arena;
@@ -1357,23 +1521,16 @@ class Predictor::Engine {
     };
     const VmId from = arena_.vm_of(move.task);
     const Revert revert{arena_, move, from, arena_.apply(move)};
+    // Before the bound: a misordered move throws instead of being skipped.
     arena_.validate_order();
-
-    if (const PostRunCheck hook = post_run_check()) {
-      checked_ = base_;
-      checked_.apply(move);
-      const SimResult result = arena_.run();
-      hook(wf_, platform_, checked_, result);
-      return {result.makespan, result.total_cost()};
-    }
-    return arena_.predict();
+    return probe();
   }
 
- private:
   const dag::Workflow& wf_;
   const platform::Platform& platform_;
   const dag::WeightRealization weights_;
   Execution arena_;
+  MakespanBound bound_;
   Schedule base_;     // the plan probes apply their move to
   Schedule checked_;  // base_ plus the move, built only for the post-run hook
 };
@@ -1390,7 +1547,15 @@ void Predictor::rebase(const Schedule& schedule) { engine_->rebase(schedule); }
 
 Prediction Predictor::predict() { return engine_->predict(); }
 
-Prediction Predictor::predict(const Move& move) { return engine_->predict(move); }
+Prediction Predictor::predict(const Move& move) { return *engine_->predict(move, infinity); }
+
+std::optional<Prediction> Predictor::predict(const Move& move, Seconds cutoff) {
+  return engine_->predict(move, cutoff);
+}
+
+std::optional<Seconds> Predictor::lower_bound(const Move& move) {
+  return engine_->lower_bound(move);
+}
 
 void set_post_run_check(PostRunCheck hook) noexcept {
   post_run_check_storage().store(hook, std::memory_order_relaxed);

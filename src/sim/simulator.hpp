@@ -28,6 +28,7 @@
 
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "dag/stochastic.hpp"
 #include "dag/workflow.hpp"
@@ -124,7 +125,9 @@ struct Prediction {
 /// every probe resets, so a probe allocates nothing once the first has run.
 /// A probe applies its move as a delta to the predictor's own copy of the
 /// plan and reverts it afterwards.  Predictions equal run_conservative() bit
-/// for bit.  While a post-run hook is installed (CLOUDWF_CHECK=1), every
+/// for bit.  A probe with a cutoff first evaluates a static lower bound on
+/// the makespan and skips the simulation when the bound already reaches the
+/// cutoff.  While a post-run hook is installed (CLOUDWF_CHECK=1), every
 /// probe also builds the moved Schedule and the full SimResult and passes
 /// them to the hook, exactly as run_conservative() does.
 class Predictor {
@@ -147,6 +150,18 @@ class Predictor {
   /// valid for the base: see Move).  Throws ValidationError if the move puts
   /// a task before its same-VM predecessor, like run_conservative() would.
   [[nodiscard]] Prediction predict(const Move& move);
+
+  /// As predict(move), but returns nullopt without simulating when
+  /// lower_bound(move) proves the makespan is not below \p cutoff.  The
+  /// refinement loops pass the makespan a move must beat.  While a post-run
+  /// hook is installed every probe is simulated anyway, and a makespan below
+  /// the bound throws InternalError.
+  [[nodiscard]] std::optional<Prediction> predict(const Move& move, Seconds cutoff);
+
+  /// Static lower bound on predict(move).makespan (DESIGN.md §12, "Makespan
+  /// lower bound"); nullopt when the moved plan deadlocks.  Validates the
+  /// move like predict().
+  [[nodiscard]] std::optional<Seconds> lower_bound(const Move& move);
 
  private:
   class Engine;

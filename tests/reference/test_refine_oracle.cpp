@@ -7,12 +7,16 @@
 /// with datacenter contention and one with a multi-processor category.
 /// Schedules must match bit for bit and sim::Predictor must equal
 /// Simulator::run_conservative() exactly.  The invariant checker audits
-/// every simulation, as with CLOUDWF_CHECK=1.
+/// every simulation, as with CLOUDWF_CHECK=1; checked mode simulates every
+/// probe, so the loops run a second time with the checker off, where the
+/// makespan lower bound skips the probes it proves rejected.  A property
+/// test holds the bound below the simulated makespan at 10-300 tasks.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -107,13 +111,16 @@ class RefineOracle : public ::testing::TestWithParam<Case> {
     return {levels_.low, levels_.medium, levels_.high};
   }
 
+  void expect_algorithm5_matches();
+  void expect_cg_plus_matches();
+
   bool was_checking_ = false;
   dag::Workflow wf_{"placeholder"};
   platform::Platform platform_ = platform::paper_platform();
   exp::BudgetLevels levels_{};
 };
 
-TEST_P(RefineOracle, Algorithm5MatchesFullResimulation) {
+void RefineOracle::expect_algorithm5_matches() {
   for (const Dollars budget : budgets()) {
     const sched::SchedulerInput input = sched::make_input(wf_, platform_, budget);
     // HEFTBUDG+, HEFTBUDG+INV and MINMINBUDG+ starting points.
@@ -134,11 +141,14 @@ TEST_P(RefineOracle, Algorithm5MatchesFullResimulation) {
   }
 }
 
-/// CG+ re-simulates every move of every critical-path task for up to 3n
-/// iterations, so its reference runs on smaller instances (10-60 tasks).
-class CgPlusOracle : public RefineOracle {};
+TEST_P(RefineOracle, Algorithm5MatchesFullResimulation) { expect_algorithm5_matches(); }
 
-TEST_P(CgPlusOracle, MatchesFullResimulation) {
+TEST_P(RefineOracle, Algorithm5PrunedMatchesFullResimulation) {
+  check::uninstall_auto_check();
+  expect_algorithm5_matches();
+}
+
+void RefineOracle::expect_cg_plus_matches() {
   const sim::Simulator simulator(wf_, platform_);
   for (const Dollars budget : budgets()) {
     const sched::SchedulerInput input = sched::make_input(wf_, platform_, budget);
@@ -152,6 +162,17 @@ TEST_P(CgPlusOracle, MatchesFullResimulation) {
     EXPECT_EQ(plus.predicted_makespan, prediction.makespan) << "budget " << budget;
     EXPECT_EQ(plus.predicted_cost, prediction.total_cost()) << "budget " << budget;
   }
+}
+
+/// CG+ re-simulates every move of every critical-path task for up to 3n
+/// iterations, so its reference runs on smaller instances (10-60 tasks).
+class CgPlusOracle : public RefineOracle {};
+
+TEST_P(CgPlusOracle, MatchesFullResimulation) { expect_cg_plus_matches(); }
+
+TEST_P(CgPlusOracle, PrunedMatchesFullResimulation) {
+  check::uninstall_auto_check();
+  expect_cg_plus_matches();
 }
 
 TEST_P(RefineOracle, PredictorEqualsRunConservativeOverRandomMoves) {
@@ -197,6 +218,43 @@ TEST_P(RefineOracle, PredictorEqualsRunConservativeOverRandomMoves) {
   }
 }
 
+/// The bound must hold on every plan the loops can probe, so this suite
+/// reaches 300 tasks; it compares against run_conservative() directly.
+class BoundProperty : public RefineOracle {};
+
+TEST_P(BoundProperty, LowerBoundNeverExceedsConservativeMakespan) {
+  check::uninstall_auto_check();  // 300-task audits are slow and beside the point
+  const sim::Simulator simulator(wf_, platform_);
+  for (const Dollars budget : budgets()) {
+    const sched::SchedulerInput input = sched::make_input(wf_, platform_, budget);
+    std::vector<dag::TaskId> order;
+    sim::Schedule schedule = sched::HeftScheduler::run_list_pass(input, true, order);
+    sim::Predictor predictor(wf_, platform_, schedule);
+    Rng rng(GetParam().seed * 104729 + static_cast<std::uint64_t>(budget * 1e6));
+    std::vector<sim::Move> moves;
+    for (int step = 0; step < 40; ++step) {
+      const auto task = static_cast<dag::TaskId>(rng.below(wf_.task_count()));
+      moves.clear();
+      sched::for_each_move(schedule, platform_.category_count(), task,
+                           [&](const sim::Move& move) { moves.push_back(move); });
+      const sim::Move move = moves[rng.below(moves.size())];
+      sim::Schedule tentative = schedule;
+      tentative.apply(move);
+      const Seconds makespan = simulator.run_conservative(tentative).makespan;
+      const std::optional<Seconds> bound = predictor.lower_bound(move);
+      // Priority-ordered lists never deadlock, so a bound always exists.
+      ASSERT_TRUE(bound.has_value()) << "budget " << budget << " step " << step;
+      EXPECT_LE(*bound, makespan) << "budget " << budget << " step " << step;
+      EXPECT_GT(*bound, 0.0) << "budget " << budget << " step " << step;
+      if (HasFailure()) return;
+      if (rng.below(3) == 0) {
+        schedule.apply(move);
+        predictor.rebase(schedule);
+      }
+    }
+  }
+}
+
 /// Five families x three platforms, each size of \p sizes used three times.
 std::vector<Case> cases(const std::array<std::size_t, 5>& sizes) {
   std::vector<Case> out;
@@ -220,6 +278,8 @@ INSTANTIATE_TEST_SUITE_P(Families, RefineOracle, ::testing::ValuesIn(cases({10, 
                          case_name);
 INSTANTIATE_TEST_SUITE_P(Families, CgPlusOracle, ::testing::ValuesIn(cases({10, 20, 30, 45, 60})),
                          case_name);
+INSTANTIATE_TEST_SUITE_P(Families, BoundProperty,
+                         ::testing::ValuesIn(cases({10, 40, 100, 200, 300})), case_name);
 
 }  // namespace
 }  // namespace cloudwf

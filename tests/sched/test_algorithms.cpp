@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -243,6 +244,40 @@ TEST(PlanCache, PlannedSchedulesBitIdenticalToAdHoc) {
     EXPECT_EQ(planned.predicted_makespan, ad_hoc.predicted_makespan) << info.name;
     EXPECT_EQ(planned.predicted_cost, ad_hoc.predicted_cost) << info.name;
   }
+}
+
+/// The cache is keyed by content, not by address.
+TEST(PlanCache, KeyedByContentNotAddress) {
+  const auto platform = platform::paper_platform();
+  const pegasus::GeneratorConfig first{30, 1, 0.5};
+  const pegasus::GeneratorConfig second{30, 2, 0.5};
+  PlanCache cache;
+
+  // Two distinct objects with equal content share one plan, and so do two
+  // equal platforms.
+  const auto wf = pegasus::generate(pegasus::WorkflowType::montage, first);
+  const auto twin = pegasus::generate(pegasus::WorkflowType::montage, first);
+  const auto platform_twin = platform::paper_platform();
+  ASSERT_NE(&wf, &twin);
+  EXPECT_EQ(&cache.get(wf, platform), &cache.get(twin, platform_twin));
+  EXPECT_EQ(cache.size(), 1u);
+
+  // A different workflow built at a recycled address gets its own plan.
+  std::optional<dag::Workflow> slot;
+  slot.emplace(pegasus::generate(pegasus::WorkflowType::montage, first));
+  const dag::Workflow* address = &*slot;
+  (void)cache.get(*slot, platform);
+  EXPECT_EQ(cache.size(), 1u);
+  slot.emplace(pegasus::generate(pegasus::WorkflowType::montage, second));
+  ASSERT_EQ(&*slot, address);
+  const WorkflowPlan& plan = cache.get(*slot, platform);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(plan.bottom_levels, WorkflowPlan::build(*slot, platform).bottom_levels);
+  EXPECT_NE(plan.bottom_levels, cache.get(wf, platform).bottom_levels);
+
+  // A platform that differs only in contention is another key.
+  (void)cache.get(wf, platform::paper_platform_with_contention(2.0));
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 }  // namespace

@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "check/auto_check.hpp"
+#include "common/json.hpp"
 #include "exp/budget_levels.hpp"
+#include "obs/profile.hpp"
 #include "pegasus/generator.hpp"
 #include "platform/platform.hpp"
 #include "sched/registry.hpp"
@@ -116,6 +122,48 @@ TEST(Refinement, PlusImprovesSomewhere) {
     if (plus.predicted_makespan < base.predicted_makespan - 1e-6) improved = true;
   }
   EXPECT_TRUE(improved);
+}
+
+/// Calls recorded under profile scope \p name so far (0 when absent).
+double scope_calls(const std::string& name) {
+  const Json profile = obs::profile_json();
+  const Json* scope = profile.at("scopes").as_object().find(name);
+  return scope == nullptr ? 0.0 : scope->at("calls").as_number();
+}
+
+TEST(Refinement, BoundSkipsResimulationsOnlyWhenUnchecked) {
+  // Every probe evaluates the makespan lower bound ("sim.bound"); the
+  // difference to the "sim.event_loop" count is the skipped re-simulations.
+  const auto platform = platform::paper_platform();
+  const auto wf = pegasus::generate(pegasus::WorkflowType::cybershake, {24, 1, 0.5});
+  const auto levels = exp::compute_budget_levels(wf, platform);
+  const bool was_checking = check::auto_check_installed();
+  const bool was_profiling = obs::profiling_enabled();
+  obs::set_profiling(true);
+  const auto calls = [&](const std::string& algorithm, bool checked) {
+    if (checked)
+      check::install_auto_check();
+    else
+      check::uninstall_auto_check();
+    obs::profile_reset();
+    (void)make_scheduler(algorithm)->schedule({wf, platform, levels.medium});
+    return std::pair{scope_calls("sim.bound"), scope_calls("sim.event_loop")};
+  };
+  for (const std::string algorithm : {"heft-budg-plus", "minmin-budg-plus", "cg-plus"}) {
+    const auto [bounds, loops] = calls(algorithm, false);
+    EXPECT_GT(bounds, 0.0) << algorithm;
+    EXPECT_LT(loops, bounds) << algorithm;  // some probes were skipped
+    // Checked mode simulates (and audits) every probe.
+    const auto [checked_bounds, checked_loops] = calls(algorithm, true);
+    EXPECT_EQ(checked_bounds, bounds) << algorithm;
+    EXPECT_GT(checked_loops, checked_bounds) << algorithm;
+  }
+  obs::profile_reset();
+  obs::set_profiling(was_profiling);
+  if (was_checking)
+    check::install_auto_check();
+  else
+    check::uninstall_auto_check();
 }
 
 }  // namespace

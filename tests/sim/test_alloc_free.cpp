@@ -118,9 +118,14 @@ TEST(AllocFree, PredictorProbesAllocateNothingAfterTheFirst) {
   ASSERT_GT(moves.size(), wf.task_count());
 
   sim::Predictor predictor(wf, platform, schedule);
-  Seconds sink = predictor.predict().makespan;  // the first probe
+  const Seconds base = predictor.predict().makespan;  // the first probe
+  Seconds sink = base;
   for (const sim::Move& move : moves) {
-    const std::size_t count = allocations_during([&] { sink += predictor.predict(move).cost; });
+    // A full probe, then one the makespan lower bound may skip.
+    const std::size_t count = allocations_during([&] {
+      sink += predictor.predict(move).cost;
+      if (const auto result = predictor.predict(move, base)) sink += result->cost;
+    });
     EXPECT_EQ(count, 0u) << "task " << move.task << " -> vm " << move.vm
                          << (move.fresh ? " (fresh)" : "");
   }

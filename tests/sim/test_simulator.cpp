@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "dag/stochastic.hpp"
@@ -324,6 +327,87 @@ TEST(Simulator, VmTraceHandlesDegenerateBilledWindow) {
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);  // header + 1
   EXPECT_EQ(text.find("nan"), std::string::npos);
   EXPECT_EQ(text.find("inf"), std::string::npos);
+}
+
+// ---- Predictor: makespan lower bound -----------------------------------------
+
+TEST(PredictorBound, TightWhenNothingQueues) {
+  const auto wf = testing::chain3();
+  const auto platform = testing::toy_platform();
+  Schedule s(3);
+  const VmId vm = s.add_vm(0);
+  for (dag::TaskId t = 0; t < 3; ++t) s.assign(t, vm);
+  // C moves to a fresh VM: B ends at 310, its 2 MB reach the DC at 312, the
+  // fresh VM is up at 322, downloads until 324 and runs C until 724.
+  const Move move{2, 1, true, 0};
+  Predictor predictor(wf, platform, s);
+  const std::optional<Seconds> bound = predictor.lower_bound(move);
+  ASSERT_TRUE(bound.has_value());
+  Schedule moved = s;
+  moved.apply(move);
+  const Seconds makespan = Simulator(wf, platform).run_conservative(moved).makespan;
+  EXPECT_DOUBLE_EQ(makespan, 724.0);
+  EXPECT_LE(*bound, makespan);
+  EXPECT_NEAR(*bound, makespan, 1e-7);  // only the early-completion slack
+  // A cutoff the bound reaches skips the simulation; a higher one does not.
+  EXPECT_FALSE(predictor.predict(move, 700.0).has_value());
+  EXPECT_EQ(predictor.predict(move, 800.0)->makespan, makespan);
+}
+
+TEST(PredictorBound, MisorderedMoveThrowsBeforeTheBound) {
+  const auto wf = testing::chain3();
+  const auto platform = testing::toy_platform();
+  Schedule s(3);
+  s.set_priority(0, 1.0);  // A ranks below its consumer B
+  s.set_priority(1, 2.0);
+  s.set_priority(2, 0.0);
+  for (dag::TaskId t = 0; t < 3; ++t) s.assign(t, s.add_vm(0));
+  // A lands behind B on B's VM.  Even a cutoff every bound reaches must not
+  // skip the move: the same-VM order check runs first.
+  const Move move{0, 1};
+  Predictor predictor(wf, platform, s);
+  const auto skip_all = [&] {
+    (void)predictor.predict(move, -std::numeric_limits<Seconds>::infinity());
+  };
+  const auto bound = [&] { (void)predictor.lower_bound(move); };
+  const std::string expected =
+      "Schedule::validate: task B ordered before its same-VM predecessor A";
+  EXPECT_EQ(testing::exact_error<ValidationError>(skip_all), expected);
+  EXPECT_EQ(testing::exact_error<ValidationError>(bound), expected);
+}
+
+TEST(PredictorBound, DeadlockingMoveHasNoBoundAndIsSimulated) {
+  // T4 -> T1 and T2 -> T3 (the CrossVmDeadlockDetected workflow).
+  dag::Workflow wf("deadlock");
+  const auto t1 = wf.add_task("T1", 10, 0);
+  const auto t2 = wf.add_task("T2", 10, 0);
+  const auto t3 = wf.add_task("T3", 10, 0);
+  const auto t4 = wf.add_task("T4", 10, 0);
+  wf.add_edge(t4, t1, 1);
+  wf.add_edge(t2, t3, 1);
+  wf.freeze();
+  const auto platform = testing::toy_platform();
+  Schedule s(4);
+  const VmId vm0 = s.add_vm(0);
+  const VmId vm1 = s.add_vm(0);
+  const VmId vm2 = s.add_vm(0);
+  s.set_priority(t1, 2);
+  s.set_priority(t2, 1);
+  s.set_priority(t3, 2);
+  s.set_priority(t4, 1);
+  s.assign(t1, vm0);  // vm0: [T1]
+  s.assign(t3, vm1);  // vm1: [T3, T4]
+  s.assign(t4, vm1);
+  s.assign(t2, vm2);  // vm2: [T2]
+  // T2 joins vm0 behind T1, which waits for T4 behind T3, which waits for T2.
+  const Move move{t2, vm0};
+  Predictor predictor(wf, platform, s);
+  EXPECT_FALSE(predictor.lower_bound(move).has_value());
+  const auto skip_all = [&] {
+    (void)predictor.predict(move, -std::numeric_limits<Seconds>::infinity());
+  };
+  const std::string error = testing::exact_error<ValidationError>(skip_all);
+  EXPECT_EQ(error.rfind("Simulator: schedule deadlocked", 0), 0u) << error;
 }
 
 TEST(Simulator, UnfrozenWorkflowRejected) {
