@@ -66,7 +66,7 @@ Summary::Summary(std::vector<double> values) : values_(std::move(values)) {}
 
 void Summary::add(double x) {
   values_.push_back(x);
-  sorted_valid_ = false;
+  scratch_valid_ = false;
 }
 
 double Summary::mean() const {
@@ -99,19 +99,22 @@ double Summary::median() const { return quantile(0.5); }
 double Summary::quantile(double q) const {
   require(!values_.empty(), "Summary::quantile: no observations");
   require(q >= 0.0 && q <= 1.0, "Summary::quantile: q outside [0,1]");
-  ensure_sorted();
-  const double pos = q * static_cast<double>(sorted_.size() - 1);
+  if (!scratch_valid_) {
+    scratch_ = values_;
+    scratch_valid_ = true;
+  }
+  const double pos = q * static_cast<double>(scratch_.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
+  const std::size_t hi = std::min(lo + 1, scratch_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-void Summary::ensure_sorted() const {
-  if (sorted_valid_) return;
-  sorted_ = values_;
-  std::sort(sorted_.begin(), sorted_.end());
-  sorted_valid_ = true;
+  // Selection instead of a sort: the lo-th order statistic lands at lo with
+  // no larger value before it, so the smallest value after it is the next
+  // order statistic.  Any permutation of the sample will do as input.
+  const auto nth = scratch_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(scratch_.begin(), nth, scratch_.end());
+  const double low = *nth;
+  const double high = hi == lo ? low : *std::min_element(nth + 1, scratch_.end());
+  return low * (1.0 - frac) + high * frac;
 }
 
 }  // namespace cloudwf

@@ -59,11 +59,9 @@ class Summary {
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
 
  private:
-  void ensure_sorted() const;
-
   std::vector<double> values_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
+  mutable std::vector<double> scratch_;  // a permutation of values_ when valid
+  mutable bool scratch_valid_ = false;
 };
 
 }  // namespace cloudwf

@@ -3,6 +3,8 @@
 #include <chrono>
 #include <optional>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include <algorithm>
 
@@ -74,7 +76,6 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
       throw InternalError("CLOUDWF_CHECK: " + report.text() + " [workflow " + wf.name() + "]");
   }
 
-  const sim::Simulator simulator(wf, platform);
   const bool inject = config.faults.enabled();
   const Rng base(config.seed);
   std::size_t valid = 0;
@@ -87,54 +88,62 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
   Seconds wasted = 0;
   // Observability aggregates: waits pooled across all repetitions, per-rep
   // means for utilization / retries / headroom, events/s over the loop.
-  Summary queue_waits;
+  // The pool is sized once, for one wait per task and repetition, so it
+  // does not reallocate while the simulator's arena is alive.
+  std::vector<double> waits;
+  waits.reserve(wf.task_count() * config.repetitions);
   double util_sum = 0;
   std::size_t transfer_retries = 0;
   double headroom_sum = 0;
   std::size_t events_total = 0;
   const auto loop_start = Clock::now();
-  for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
-    check_deadline(deadline, algorithm, "repetition " + std::to_string(rep), config);
-    Rng stream = base.fork(rep);
-    const dag::WeightRealization weights = dag::sample_weights(wf, stream);
-    const sim::SimResult run =
-        inject ? simulator.run_with_faults(output.schedule, weights,
-                                           config.faults.for_repetition(rep), config.recovery)
-               : simulator.run(output.schedule, weights);
-    result.makespan.add(run.makespan);
-    result.cost.add(run.total_cost());
-    const bool within_budget = run.total_cost() <= budget + money_epsilon;
-    const bool within_deadline =
-        config.deadline <= 0 || run.makespan <= config.deadline + time_epsilon;
-    if (within_budget) ++valid;
-    if (within_deadline) ++in_time;
-    if (within_budget && within_deadline) ++objective;  // Eq. (3)
-    if (run.success()) ++succeeded;
-    crashes += run.faults.crashes;
-    failed_tasks += run.faults.failed_tasks;
-    recovery_cost += run.faults.recovery_cost;
-    wasted += run.faults.wasted_compute;
+  {
+    // Scoped so the simulator's engine arena is freed before the quantiles
+    // below copy the pooled waits.
+    const sim::Simulator simulator(wf, platform);
+    for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
+      check_deadline(deadline, algorithm, "repetition " + std::to_string(rep), config);
+      Rng stream = base.fork(rep);
+      const dag::WeightRealization weights = dag::sample_weights(wf, stream);
+      const sim::SimResult run =
+          inject ? simulator.run_with_faults(output.schedule, weights,
+                                             config.faults.for_repetition(rep), config.recovery)
+                 : simulator.run(output.schedule, weights);
+      result.makespan.add(run.makespan);
+      result.cost.add(run.total_cost());
+      const bool within_budget = run.total_cost() <= budget + money_epsilon;
+      const bool within_deadline =
+          config.deadline <= 0 || run.makespan <= config.deadline + time_epsilon;
+      if (within_budget) ++valid;
+      if (within_deadline) ++in_time;
+      if (within_budget && within_deadline) ++objective;  // Eq. (3)
+      if (run.success()) ++succeeded;
+      crashes += run.faults.crashes;
+      failed_tasks += run.faults.failed_tasks;
+      recovery_cost += run.faults.recovery_cost;
+      wasted += run.faults.wasted_compute;
 
-    for (dag::TaskId t = 0; t < run.tasks.size(); ++t) {
-      const sim::TaskRecord& record = run.tasks[t];
-      if (record.failed || record.vm == sim::invalid_vm || record.vm >= run.vms.size())
-        continue;
-      const Seconds ready = std::max(record.inputs_at_dc, run.vms[record.vm].boot_done);
-      queue_waits.add(std::max(0.0, record.start - ready));
+      for (dag::TaskId t = 0; t < run.tasks.size(); ++t) {
+        const sim::TaskRecord& record = run.tasks[t];
+        if (record.failed || record.vm == sim::invalid_vm || record.vm >= run.vms.size())
+          continue;
+        const Seconds ready = std::max(record.inputs_at_dc, run.vms[record.vm].boot_done);
+        waits.push_back(std::max(0.0, record.start - ready));
+      }
+      Seconds busy_total = 0;
+      Seconds billed_total = 0;
+      for (const sim::VmRecord& vm : run.vms) {
+        if (vm.task_count == 0 && !vm.crashed && !vm.recovery) continue;
+        busy_total += vm.busy;
+        billed_total += vm.end - vm.boot_done;
+      }
+      if (billed_total > 0) util_sum += busy_total / billed_total;
+      transfer_retries += run.faults.transfer_failures;
+      if (budget > 0) headroom_sum += (budget - run.total_cost()) / budget;
+      events_total += run.events_processed;
+      if (config.metrics != nullptr)
+        sim::record_run_metrics(*config.metrics, run, budget);
     }
-    Seconds busy_total = 0;
-    Seconds billed_total = 0;
-    for (const sim::VmRecord& vm : run.vms) {
-      if (vm.task_count == 0 && !vm.crashed && !vm.recovery) continue;
-      busy_total += vm.busy;
-      billed_total += vm.end - vm.boot_done;
-    }
-    if (billed_total > 0) util_sum += busy_total / billed_total;
-    transfer_retries += run.faults.transfer_failures;
-    if (budget > 0) headroom_sum += (budget - run.total_cost()) / budget;
-    events_total += run.events_processed;
-    if (config.metrics != nullptr)
-      sim::record_run_metrics(*config.metrics, run, budget);
   }
   const Seconds loop_seconds = std::chrono::duration<double>(Clock::now() - loop_start).count();
   const auto fraction = [&](std::size_t count) {
@@ -148,6 +157,7 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
   result.failed_tasks_mean = fraction(failed_tasks);
   result.recovery_cost_mean = recovery_cost / static_cast<double>(config.repetitions);
   result.wasted_compute_mean = wasted / static_cast<double>(config.repetitions);
+  const Summary queue_waits(std::move(waits));
   if (!queue_waits.empty()) {  // can be empty when every task failed
     result.queue_wait_p50 = queue_waits.quantile(0.50);
     result.queue_wait_p95 = queue_waits.quantile(0.95);

@@ -80,8 +80,8 @@ struct Event {
   Seconds time = 0;
   std::int64_t vm = no_id;    ///< VM track; no_id for global events
   std::int64_t task = no_id;  ///< task id; no_id when not task-scoped
-  std::string_view name;      ///< human label (task name, transfer label)
-  std::string_view detail;    ///< kind-specific rationale ("up", "vm_crash", ...)
+  std::string_view name{};    ///< human label (task name, transfer label)
+  std::string_view detail{};  ///< kind-specific rationale ("up", "vm_crash", ...)
   double value = 0;           ///< bytes / dollars / index (kind-specific)
   Seconds duration = 0;       ///< slice length for *_done/finish events
 };

@@ -28,13 +28,20 @@ inline constexpr FlowId invalid_flow = std::numeric_limits<FlowId>::max();
 
 /// Event-driven fluid network: flows progress at a common rate that depends
 /// on how many are active.
+///
+/// The active flows form a dense table in start order (ids, remaining and
+/// total bytes in parallel arrays), and the smallest remaining value is
+/// cached, so next_completion() is O(1) and advance() scans for completions
+/// only when the cached minimum is within the completion tolerance
+/// (DESIGN.md §12, "Dense flow table").
 class FluidNetwork {
  public:
   /// \p per_flow_cap is the VM link bandwidth; \p aggregate_capacity is the
   /// shared datacenter capacity (0 = unlimited, the paper's base model).
   FluidNetwork(BytesPerSec per_flow_cap, BytesPerSec aggregate_capacity);
 
-  /// Starts a flow of \p bytes at time \p now; returns its id.
+  /// Starts a flow of \p bytes at time \p now; returns its id.  Ids count
+  /// up from zero after construction or reset().
   /// Zero-byte flows complete immediately (reported by the next advance()).
   FlowId start_flow(Bytes bytes, Seconds now);
 
@@ -47,13 +54,13 @@ class FluidNetwork {
   /// (a reused simulation arena starts each run from here).
   void reset();
 
-  /// Pre-sizes storage for \p flows flows per run.
+  /// Pre-sizes storage for \p flows simultaneously active flows.
   void reserve(std::size_t flows);
 
   /// Time at which the earliest active flow completes; +inf when idle.
   [[nodiscard]] Seconds next_completion() const;
 
-  [[nodiscard]] std::size_t active_count() const { return active_.size(); }
+  [[nodiscard]] std::size_t active_count() const { return ids_.size(); }
   /// Current per-flow rate (bytes/s); equals the cap when uncontended.
   [[nodiscard]] BytesPerSec current_rate() const;
   /// Total bytes carried by completed flows.
@@ -64,17 +71,16 @@ class FluidNetwork {
  private:
   void progress_to(Seconds now);
 
-  struct Flow {
-    Bytes total = 0;
-    Bytes remaining = 0;
-    bool done = false;
-  };
-
   BytesPerSec cap_;
   BytesPerSec aggregate_;  // 0 = unlimited
-  std::vector<Flow> flows_;
-  std::vector<FlowId> active_;     // in start order
+  // The active flows in start order, one entry per flow in each array.
+  std::vector<FlowId> ids_;
+  std::vector<Bytes> remaining_;
+  std::vector<Bytes> total_;
+  // min(remaining_) bit for bit; +inf when idle.
+  Bytes min_remaining_ = std::numeric_limits<Bytes>::infinity();
   std::vector<FlowId> completed_;  // advance()'s result buffer
+  FlowId next_id_ = 0;
   Seconds last_update_ = 0;
   Bytes completed_bytes_ = 0;
   std::size_t peak_active_ = 0;

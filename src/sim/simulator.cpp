@@ -16,12 +16,6 @@
 #include "platform/pricing.hpp"
 #include "sim/fluid.hpp"
 
-// Observability emission uses designated initializers and leaves the
-// kind-irrelevant obs::Event fields at their defaults on purpose.
-#if defined(__GNUC__)
-#pragma GCC diagnostic ignored "-Wmissing-field-initializers"
-#endif
-
 namespace cloudwf::sim {
 
 namespace {
@@ -83,8 +77,8 @@ struct Totals {
   Dollars recovery_cost = 0;  // billed to fault-recovery VMs
 };
 
-/// The execution engine.  Simulator::run builds one per call; a Predictor
-/// keeps one as an arena and re-runs it per probe.
+/// The execution engine: an arena that every run resets.  A Simulator keeps
+/// one for all of its runs and a Predictor one for all of its probes.
 ///
 /// The task-to-VM mapping starts as a copy of the static Schedule but is
 /// *mutable*: the online policy (paper Section VI) may interrupt a running
@@ -94,20 +88,19 @@ struct Totals {
 /// so a reused arena runs without heap allocations once warm.
 class Execution {
  public:
-  Execution(const dag::Workflow& wf, const platform::Platform& platform,
-            const dag::WeightRealization& weights, const OnlinePolicy* policy,
-            const FaultModel* faults, const RecoveryPolicy* recovery, obs::EventBus* bus)
+  Execution(const dag::Workflow& wf, const platform::Platform& platform, obs::EventBus* bus)
       : wf_(wf),
         platform_(platform),
-        weights_(weights),
-        policy_(policy),
-        faults_(faults),
-        recovery_(recovery),
         bus_(bus),
-        obs_(bus != nullptr && bus->enabled()),
-        fluid_(platform.bandwidth(), platform.dc_aggregate_bandwidth()) {
-    if (faults_ != nullptr && faults_->enabled()) injector_.emplace(*faults_);
-  }
+        fluid_(platform.bandwidth(), platform.dc_aggregate_bandwidth()) {}
+
+  /// Sets what the next runs execute with: \p weights, the online \p policy
+  /// (nullptr = static execution) and the fault layer (\p faults nullptr =
+  /// none; \p recovery set whenever \p faults is).  Every argument must
+  /// outlive those runs.  Samples the bus's enabled state and reseeds the
+  /// fault injector, so call it once per Simulator run.
+  void configure(const dag::WeightRealization& weights, const OnlinePolicy* policy,
+                 const FaultModel* faults, const RecoveryPolicy* recovery);
 
   /// Validates \p schedule and copies its plan in; it must outlive the runs.
   void load(const Schedule& schedule);
@@ -180,12 +173,13 @@ class Execution {
   const dag::Workflow& wf_;
   const platform::Platform& platform_;
   const Schedule* schedule_ = nullptr;  // the loaded schedule (priorities)
-  const dag::WeightRealization& weights_;
-  const OnlinePolicy* policy_;         // nullptr = offline (static) execution
-  const FaultModel* faults_;           // nullptr = no fault layer
-  const RecoveryPolicy* recovery_;     // set whenever faults_ is
-  obs::EventBus* bus_;                 // nullptr = no observability
-  const bool obs_;                     // cached bus_ && bus_->enabled()
+  obs::EventBus* bus_;                  // nullptr = no observability
+  // Per-run inputs (configure()).
+  const dag::WeightRealization* weights_ = nullptr;
+  const OnlinePolicy* policy_ = nullptr;      // nullptr = offline (static) execution
+  const FaultModel* faults_ = nullptr;        // nullptr = no fault layer
+  const RecoveryPolicy* recovery_ = nullptr;  // set whenever faults_ is
+  bool obs_ = false;                          // cached bus_ && bus_->enabled()
   std::optional<FaultInjector> injector_;  // engaged only for an enabled model
   FluidNetwork fluid_;
 
@@ -301,9 +295,20 @@ class Execution {
   [[nodiscard]] SimResult finalize() const;
 };
 
+void Execution::configure(const dag::WeightRealization& weights, const OnlinePolicy* policy,
+                          const FaultModel* faults, const RecoveryPolicy* recovery) {
+  weights_ = &weights;
+  policy_ = policy;
+  faults_ = faults;
+  recovery_ = recovery;
+  obs_ = bus_ != nullptr && bus_->enabled();
+  injector_.reset();
+  if (faults_ != nullptr && faults_->enabled()) injector_.emplace(*faults_);
+}
+
 void Execution::load(const Schedule& schedule) {
   schedule.validate(wf_, platform_);
-  require(weights_.size() == wf_.task_count(),
+  require(weights_->size() == wf_.task_count(),
           "Simulator: weight realization size differs from workflow");
   schedule_ = &schedule;
 
@@ -316,6 +321,13 @@ void Execution::load(const Schedule& schedule) {
   }
   vm_of_.resize(wf_.task_count());
   for (dag::TaskId t = 0; t < wf_.task_count(); ++t) vm_of_[t] = schedule.vm_of(t);
+  // A fault- and migration-free run of this plan moves the same transfers
+  // under any realization, so the job tables fit after one run.  The peaks
+  // of the event heap (one boot per VM, one completion per task) and of the
+  // flow table (one flow per link direction) depend on the weights: size
+  // them for the worst case, so a warm arena fits every realization.
+  events_.reserve(plans_.size() + wf_.task_count());
+  fluid_.reserve(2 * plans_.size());
 }
 
 void Execution::reserve_static() {
@@ -325,8 +337,8 @@ void Execution::reserve_static() {
   const std::size_t transfers = 2 * wf_.edge_count() + 2 * wf_.task_count();
   jobs_.reserve(transfers);
   flow_to_job_.reserve(transfers);
-  fluid_.reserve(transfers);
   events_.reserve(plans_.size() + 1 + wf_.task_count());
+  fluid_.reserve(2 * (plans_.size() + 1));
   vms_.reserve(plans_.size() + 1);
   for (VmPlan& plan : plans_) plan.tasks.reserve(plan.tasks.size() + 1);  // a moved-in task
   spare_.tasks.reserve(wf_.task_count());
@@ -728,7 +740,7 @@ void Execution::try_start_tasks(VmId vm) {
     --state.free_procs;
     ++state.next_start_idx;
     gate_update(t, state.boot_done, dag::invalid_task);
-    const Seconds duration = weights_[t] / vm_speed(vm);
+    const Seconds duration = (*weights_)[t] / vm_speed(vm);
     records_[t].start = now_;
     records_[t].finish = now_ + duration;
     records_[t].bound_by = ts.gate_task;
@@ -1273,9 +1285,11 @@ SimResult Execution::finalize() const {
   // it must be re-sorted before emission to honor the EventSink contract of
   // globally non-decreasing timestamps.  stable_sort keeps the per-VM
   // tick -> shutdown sequence for events sharing a timestamp.
-  std::stable_sort(tail_events.begin(), tail_events.end(),
-                   [](const obs::Event& a, const obs::Event& b) { return a.time < b.time; });
-  for (const obs::Event& event : tail_events) emit(event);
+  if (obs_) {
+    std::stable_sort(tail_events.begin(), tail_events.end(),
+                     [](const obs::Event& a, const obs::Event& b) { return a.time < b.time; });
+    for (const obs::Event& event : tail_events) emit(event);
+  }
 
   result.transfers.count = transfers_done_;
   result.transfers.bytes = transfer_bytes_;
@@ -1434,19 +1448,13 @@ std::atomic<PostRunCheck>& post_run_check_storage() {
   return hook;
 }
 
-/// One Simulator::run* call: a fresh engine, then the post-run hook.
-SimResult execute(const dag::Workflow& wf, const platform::Platform& platform,
-                  const Schedule& schedule, const dag::WeightRealization& weights,
-                  const OnlinePolicy* policy, const FaultModel* faults,
-                  const RecoveryPolicy* recovery, obs::EventBus* bus) {
-  Execution execution(wf, platform, weights, policy, faults, recovery, bus);
-  execution.load(schedule);
-  const SimResult result = execution.run();
-  if (const PostRunCheck hook = post_run_check()) hook(wf, platform, schedule, result);
-  return result;
-}
-
 }  // namespace
+
+/// The engine arena of one Simulator.
+class Simulator::Arena : public Execution {
+ public:
+  using Execution::Execution;
+};
 
 class Predictor::Engine {
  public:
@@ -1454,10 +1462,11 @@ class Predictor::Engine {
       : wf_(wf),
         platform_(platform),
         weights_(dag::conservative_weights(wf)),
-        arena_(wf, platform, weights_, nullptr, nullptr, nullptr, nullptr),
+        arena_(wf, platform, nullptr),
         bound_(wf, platform, weights_),
         base_(wf.task_count()),
         checked_(wf.task_count()) {
+    arena_.configure(weights_, nullptr, nullptr, nullptr);
     rebase(base);
   }
 
@@ -1571,15 +1580,29 @@ Simulator::Simulator(const dag::Workflow& wf, const platform::Platform& platform
   require(wf.frozen(), "Simulator: workflow must be frozen");
 }
 
+Simulator::~Simulator() = default;
+
+SimResult Simulator::run_in_arena(const Schedule& schedule,
+                                  const dag::WeightRealization& weights,
+                                  const OnlinePolicy* policy, const FaultModel* faults,
+                                  const RecoveryPolicy* recovery) const {
+  if (!arena_) arena_ = std::make_unique<Arena>(wf_, platform_, bus_);
+  arena_->configure(weights, policy, faults, recovery);
+  arena_->load(schedule);
+  SimResult result = arena_->run();
+  if (const PostRunCheck hook = post_run_check()) hook(wf_, platform_, schedule, result);
+  return result;
+}
+
 SimResult Simulator::run(const Schedule& schedule, const dag::WeightRealization& weights) const {
-  return execute(wf_, platform_, schedule, weights, nullptr, nullptr, nullptr, bus_);
+  return run_in_arena(schedule, weights, nullptr, nullptr, nullptr);
 }
 
 SimResult Simulator::run_online(const Schedule& schedule, const dag::WeightRealization& weights,
                                 const OnlinePolicy& policy) const {
   require(policy.timeout_sigmas >= 0, "run_online: negative timeout_sigmas");
   require(policy.min_speedup >= 1.0, "run_online: min_speedup must be >= 1");
-  return execute(wf_, platform_, schedule, weights, &policy, nullptr, nullptr, bus_);
+  return run_in_arena(schedule, weights, &policy, nullptr, nullptr);
 }
 
 SimResult Simulator::run_with_faults(const Schedule& schedule,
@@ -1588,7 +1611,7 @@ SimResult Simulator::run_with_faults(const Schedule& schedule,
                                      const RecoveryPolicy& recovery) const {
   faults.validate();
   recovery.validate();
-  return execute(wf_, platform_, schedule, weights, nullptr, &faults, &recovery, bus_);
+  return run_in_arena(schedule, weights, nullptr, &faults, &recovery);
 }
 
 SimResult Simulator::run_conservative(const Schedule& schedule) const {

@@ -65,6 +65,13 @@ struct OnlinePolicy {
 };
 
 /// Executes schedules for one (workflow, platform) pair.
+///
+/// A Simulator owns one engine arena, built by its first run and reset by
+/// every later one, so repeated runs (the realizations of an evaluation)
+/// neither rebuild nor reallocate the engine: once warm, a run of a plan it
+/// has run before allocates only the returned SimResult.  The arena lives
+/// exactly as long as the Simulator.  Its run methods are const but share
+/// that arena, so a Simulator is not thread-safe: give each thread its own.
 class Simulator {
  public:
   /// Both references must outlive the simulator.  When \p bus is non-null
@@ -73,6 +80,9 @@ class Simulator {
   /// cached bool test per run (the <2% contract of bench/bench_obs.cpp).
   Simulator(const dag::Workflow& wf, const platform::Platform& platform,
             obs::EventBus* bus = nullptr);
+  ~Simulator();
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   /// Runs \p schedule with concrete \p weights.
   /// Throws ValidationError if the schedule is malformed or deadlocks.
@@ -104,9 +114,19 @@ class Simulator {
   [[nodiscard]] const platform::Platform& platform() const { return platform_; }
 
  private:
+  class Arena;
+
+  /// Every run* entry point: the arena runs \p schedule, then the post-run
+  /// hook sees the result.
+  [[nodiscard]] SimResult run_in_arena(const Schedule& schedule,
+                                       const dag::WeightRealization& weights,
+                                       const OnlinePolicy* policy, const FaultModel* faults,
+                                       const RecoveryPolicy* recovery) const;
+
   const dag::Workflow& wf_;
   const platform::Platform& platform_;
   obs::EventBus* bus_;
+  mutable std::unique_ptr<Arena> arena_;  // built by the first run
 };
 
 /// Makespan and total cost of one conservative run: what the refinement

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -114,6 +119,40 @@ TEST(Summary, MeanAndStddevMatchAccumulator) {
   EXPECT_NEAR(s.stddev(), acc.stddev(), 1e-9);
   EXPECT_DOUBLE_EQ(s.min(), acc.min());
   EXPECT_DOUBLE_EQ(s.max(), acc.max());
+}
+
+/// Summary::quantile's formula on a fully sorted copy: the reference the
+/// selection-based quantile must match bit for bit.
+double sorted_quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] * (1.0 - frac) + values[hi] * frac;
+}
+
+TEST(Summary, SelectedQuantilesMatchSortedReferenceExactly) {
+  Rng rng(2024);
+  const double qs[] = {0.0, 0.5, 0.95, 0.99, 1.0};
+  for (std::size_t n = 1; n <= 1000; n += n < 40 ? 1 : 40) {
+    // Values drawn from a small pool repeat often; the rest are distinct.
+    std::vector<double> values;
+    for (std::size_t i = 0; i < n; ++i)
+      values.push_back(rng.below(3) == 0 ? static_cast<double>(rng.below(5))
+                                         : rng.uniform(-50.0, 50.0));
+    Summary summary(values);
+    for (const double q : qs)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.quantile(q)),
+                std::bit_cast<std::uint64_t>(sorted_quantile(values, q)))
+          << "n=" << n << " q=" << q;
+    // Repeated and descending queries reuse the partially ordered scratch.
+    for (auto q = std::rbegin(qs); q != std::rend(qs); ++q)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.quantile(*q)),
+                std::bit_cast<std::uint64_t>(sorted_quantile(values, *q)))
+          << "n=" << n << " q=" << *q;
+    EXPECT_EQ(summary.values(), values);  // the sample itself keeps its order
+  }
 }
 
 TEST(Summary, EmptyThrows) {

@@ -48,8 +48,9 @@ void check_invariants(const dag::Workflow& wf, const platform::Platform& platfor
   // positive gap when data crosses VMs (upload + download time).
   for (const dag::Edge& e : wf.edges()) {
     EXPECT_LE(r.tasks[e.src].finish, r.tasks[e.dst].start + 1e-9);
-    if (r.tasks[e.src].vm != r.tasks[e.dst].vm && e.bytes > 0)
+    if (r.tasks[e.src].vm != r.tasks[e.dst].vm && e.bytes > 0) {
       EXPECT_LT(r.tasks[e.src].finish, r.tasks[e.dst].start);
+    }
   }
   // VM records: boot duration is exact; billing windows contain the busy
   // time; used VMs counted consistently.
@@ -169,9 +170,12 @@ void check_fault_invariants(const dag::Workflow& wf, const platform::Platform& p
   EXPECT_EQ(r.success(), failed == 0);
   // Failure cascades: a consumer of a failed producer cannot have finished.
   for (const dag::Edge& e : wf.edges()) {
-    if (r.tasks[e.src].failed) EXPECT_TRUE(r.tasks[e.dst].failed);
-    if (!r.tasks[e.src].failed && !r.tasks[e.dst].failed)
+    if (r.tasks[e.src].failed) {
+      EXPECT_TRUE(r.tasks[e.dst].failed);
+    }
+    if (!r.tasks[e.src].failed && !r.tasks[e.dst].failed) {
       EXPECT_LE(r.tasks[e.src].finish, r.tasks[e.dst].start + 1e-9);
+    }
   }
   // Billing: every VM that came up bills at least its busy time; crashed VMs
   // froze their billing at the crash and never resumed.

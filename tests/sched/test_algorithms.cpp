@@ -186,8 +186,11 @@ TEST(Registry, CapabilityFlags) {
   EXPECT_FALSE(scheduler_info("bdt").refining);
   EXPECT_FALSE(scheduler_info("cg").refining);
   // Every refining algorithm consumes a budget; the reverse does not hold.
-  for (const SchedulerInfo& info : scheduler_registry())
-    if (info.refining) EXPECT_TRUE(info.needs_budget) << info.name;
+  for (const SchedulerInfo& info : scheduler_registry()) {
+    if (info.refining) {
+      EXPECT_TRUE(info.needs_budget) << info.name;
+    }
+  }
 }
 
 TEST(Registry, FindSchedulerIsNullSafe) {

@@ -48,7 +48,9 @@ TEST_P(RefinementTest, HeftBudgPlusNeverWorseThanHeftBudg) {
     const SchedulerOutput plus = run("heft-budg-plus", budget);
     EXPECT_LE(plus.predicted_makespan, base.predicted_makespan + 1e-6)
         << "budget " << budget;
-    if (base.budget_feasible) EXPECT_TRUE(plus.budget_feasible) << "budget " << budget;
+    if (base.budget_feasible) {
+      EXPECT_TRUE(plus.budget_feasible) << "budget " << budget;
+    }
   }
 }
 
@@ -78,7 +80,9 @@ TEST_P(RefinementTest, MinMinBudgPlusNeverWorseThanMinMinBudg) {
     const SchedulerOutput base = run("minmin-budg", budget);
     const SchedulerOutput plus = run("minmin-budg-plus", budget);
     EXPECT_LE(plus.predicted_makespan, base.predicted_makespan + 1e-6) << "budget " << budget;
-    if (base.budget_feasible) EXPECT_TRUE(plus.budget_feasible) << "budget " << budget;
+    if (base.budget_feasible) {
+      EXPECT_TRUE(plus.budget_feasible) << "budget " << budget;
+    }
   }
 }
 

@@ -4,7 +4,8 @@
 /// This binary replaces the global operator new with a counting one, so the
 /// guards below are machine-independent: a passing check, a workflow
 /// adjacency query, a schedule validation and a warm sim::Predictor probe
-/// must not touch the heap at all.
+/// must not touch the heap at all, and a warm Simulator::run allocates only
+/// the SimResult it returns.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 
 #include "check/auto_check.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "dag/stochastic.hpp"
 #include "exp/budget_levels.hpp"
 #include "pegasus/generator.hpp"
 #include "platform/platform.hpp"
@@ -33,6 +36,10 @@ void* counted_malloc(std::size_t size) noexcept {
   return std::malloc(size == 0 ? 1 : size);
 }
 
+// Out of line: a free() inlined into operator delete reads to GCC as the
+// release of a `new` expression's pointer (-Wmismatched-new-delete).
+[[gnu::noinline]] void release(void* memory) noexcept { std::free(memory); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -46,12 +53,12 @@ void* operator new(std::size_t size, const std::nothrow_t& /*tag*/) noexcept {
 void* operator new[](std::size_t size, const std::nothrow_t& /*tag*/) noexcept {
   return counted_malloc(size);
 }
-void operator delete(void* memory) noexcept { std::free(memory); }
-void operator delete[](void* memory) noexcept { std::free(memory); }
-void operator delete(void* memory, std::size_t /*size*/) noexcept { std::free(memory); }
-void operator delete[](void* memory, std::size_t /*size*/) noexcept { std::free(memory); }
-void operator delete(void* memory, const std::nothrow_t& /*tag*/) noexcept { std::free(memory); }
-void operator delete[](void* memory, const std::nothrow_t& /*tag*/) noexcept { std::free(memory); }
+void operator delete(void* memory) noexcept { release(memory); }
+void operator delete[](void* memory) noexcept { release(memory); }
+void operator delete(void* memory, std::size_t /*size*/) noexcept { release(memory); }
+void operator delete[](void* memory, std::size_t /*size*/) noexcept { release(memory); }
+void operator delete(void* memory, const std::nothrow_t& /*tag*/) noexcept { release(memory); }
+void operator delete[](void* memory, const std::nothrow_t& /*tag*/) noexcept { release(memory); }
 
 namespace cloudwf {
 namespace {
@@ -129,6 +136,29 @@ TEST(AllocFree, PredictorProbesAllocateNothingAfterTheFirst) {
     EXPECT_EQ(count, 0u) << "task " << move.task << " -> vm " << move.vm
                          << (move.fresh ? " (fresh)" : "");
   }
+  EXPECT_GT(sink, 0.0);
+  if (was_checking) check::install_auto_check();
+}
+
+TEST(AllocFree, WarmSimulatorRunAllocatesOnlyItsResult) {
+  const bool was_checking = check::auto_check_installed();
+  check::uninstall_auto_check();
+  const dag::Workflow wf = pegasus::generate(pegasus::WorkflowType::cybershake, {1000, 1, 0.5});
+  const platform::Platform platform = platform::paper_platform();
+  const exp::BudgetLevels levels = exp::compute_budget_levels(wf, platform);
+  std::vector<dag::TaskId> order;
+  const sim::Schedule schedule = sched::HeftScheduler::run_list_pass(
+      sched::make_input(wf, platform, levels.medium), /*budget_aware=*/true, order);
+  const sim::Simulator simulator(wf, platform);
+  Rng rng(7);
+  const dag::WeightRealization first = dag::sample_weights(wf, rng);
+  const dag::WeightRealization second = dag::sample_weights(wf, rng);
+  Seconds sink = simulator.run(schedule, first).makespan;  // builds the arena
+  // A different realization of the same plan: only the returned result's
+  // task and VM records may touch the heap.
+  const std::size_t count =
+      allocations_during([&] { sink += simulator.run(schedule, second).makespan; });
+  EXPECT_LE(count, 4u);
   EXPECT_GT(sink, 0.0);
   if (was_checking) check::install_auto_check();
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "dag/analysis.hpp"
 #include "pegasus/generator.hpp"
@@ -52,7 +53,9 @@ TEST(EngineEdges, WideFanOutAndFanInAcrossManyVms) {
   const auto sink = wf.add_task("sink", 100, 0);
   std::vector<dag::TaskId> middle;
   for (int i = 0; i < 16; ++i) {
-    const auto t = wf.add_task("m" + std::to_string(i), 100, 0);
+    std::string name = "m";  // not "m" + std::to_string(i): a gcc 12 -Wrestrict false positive
+    name += std::to_string(i);
+    const auto t = wf.add_task(name, 100, 0);
     wf.add_edge(source, t, 1e6);
     wf.add_edge(t, sink, 1e6);
     middle.push_back(t);
