@@ -5,12 +5,14 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "obs/profile.hpp"
 #include "sched/cg.hpp"
 #include "sched/registry.hpp"
 
 namespace cloudwf::exp {
 
 BudgetLevels compute_budget_levels(const dag::Workflow& wf, const platform::Platform& platform) {
+  const obs::ProfileScope profile("exp.budget_levels");
   BudgetLevels levels;
   levels.min_cost = sched::single_vm_cost(wf, platform, platform.cheapest_category());
   levels.low = levels.min_cost;

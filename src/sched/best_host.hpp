@@ -42,13 +42,21 @@ class BestHostScan {
       cheapest_.host = host;
       cheapest_.estimate = estimate;
     }
-    if (budget_cap_ && estimate.cost > *budget_cap_ + money_epsilon) return;
+    if (!within_cap(estimate)) return;
     if (!have_affordable_ || better_placement(estimate, host, best_.estimate, best_.host)) {
       have_affordable_ = true;
       best_.host = host;
       best_.estimate = estimate;
     }
   }
+
+  /// True when \p estimate respects the cap (always without one).
+  [[nodiscard]] bool within_cap(const PlacementEstimate& estimate) const {
+    return !budget_cap_ || !(estimate.cost > *budget_cap_ + money_epsilon);
+  }
+
+  /// True once some considered host respects the cap.
+  [[nodiscard]] bool has_affordable() const { return have_affordable_; }
 
   [[nodiscard]] BestHost result() const {
     if (have_affordable_) return BestHost{best_.host, best_.estimate, true};
@@ -69,8 +77,13 @@ class BestHostScan {
 
 /// Selects the host with the smallest EFT among those whose cost ct(T,host)
 /// stays within \p budget_cap (B_T + pot); without a cap, plain smallest
-/// EFT (the baseline MIN-MIN/HEFT behaviour).  Probes every candidate of
-/// \p state once; allocation-free.
+/// EFT (the baseline MIN-MIN/HEFT behaviour).  The result is the one a scan
+/// of every candidate gives, bit for bit, but only the task's producer VMs,
+/// the fresh slots and a few neighbours per category in the availability
+/// index are probed (DESIGN.md Section 12); when none of those is
+/// affordable, every candidate is, for the cheapest-host fallback.  With
+/// the post-run check installed (CLOUDWF_CHECK=1) every call is audited
+/// against the full scan and a mismatch throws InternalError.
 [[nodiscard]] BestHost get_best_host(const EftState& state, dag::TaskId task,
                                      std::optional<Dollars> budget_cap);
 

@@ -8,6 +8,11 @@ namespace cloudwf::sched {
 
 namespace {
 
+/// The availability index order: (avail, vm).
+bool by_key(const AvailableVm& a, const AvailableVm& b) {
+  return a.avail != b.avail ? a.avail < b.avail : a.vm < b.vm;
+}
+
 /// Thread-local probe counter (see probe_count() in eft.hpp).  Thread-local
 /// so parallel sweeps don't contend on one cache line.
 thread_local std::size_t probes_issued = 0;
@@ -15,6 +20,20 @@ thread_local std::size_t probes_issued = 0;
 }  // namespace
 
 std::size_t probe_count() { return probes_issued; }
+
+Dollars reuse_cost_lower_bound(const ReuseTerms& terms, Seconds max_avail) {
+  // With unit roundoff u, estimate()'s cost on a VM of availability a is
+  // fl(fl(fl(a + exec) - a + upload) * price).  fl(a + exec) - a is at least
+  // exec - u(a + exec), and the subtraction, the addition and the product
+  // each lose at most a factor (1 - u), so the cost is at least
+  //   (exec + upload) * price * (1 - 3u) - 1.01u * (a + exec) * price.
+  // The margins below (32u relative, 4u absolute) also absorb the rounding
+  // of this expression itself, so it never exceeds that.
+  constexpr double u = 0x1p-53;
+  const Dollars nominal = (terms.exec + terms.upload) * terms.price * (1.0 - 32.0 * u);
+  const Dollars drift = (max_avail + terms.exec) * terms.price * (4.0 * u);
+  return nominal - drift;
+}
 
 bool better_placement(const PlacementEstimate& a, const HostCandidate& ha,
                       const PlacementEstimate& b, const HostCandidate& hb) {
@@ -80,6 +99,53 @@ const EftState::TaskInputs& EftState::task_inputs(dag::TaskId task) const {
   return inputs;
 }
 
+const HostCandidate& EftState::used_host(sim::VmId vm) const {
+  CLOUDWF_ASSERT(vm < used_hosts_ && hosts_[vm].vm == vm);
+  return hosts_[vm];
+}
+
+std::span<const AvailableVm> EftState::used_by_availability(platform::CategoryId category) const {
+  if (by_avail_.empty()) {  // first query: build the index
+    by_avail_.resize(platform_.category_count());
+    for (std::size_t i = 0; i < used_hosts_; ++i)
+      by_avail_[hosts_[i].category].push_back(AvailableVm{avail_[hosts_[i].vm], hosts_[i].vm});
+    for (std::vector<AvailableVm>& index : by_avail_) std::sort(index.begin(), index.end(), by_key);
+  }
+  return by_avail_[category];
+}
+
+void EftState::reindex(sim::VmId vm, Seconds avail, bool fresh) {
+  if (by_avail_.empty()) return;
+  std::vector<AvailableVm>& index = by_avail_[used_host(vm).category];
+  if (!fresh) {
+    const auto old =
+        std::lower_bound(index.begin(), index.end(), AvailableVm{avail_[vm], vm}, by_key);
+    CLOUDWF_ASSERT(old != index.end() && old->vm == vm);
+    index.erase(old);
+  }
+  const AvailableVm entry{avail, vm};
+  index.insert(std::upper_bound(index.begin(), index.end(), entry, by_key), entry);
+}
+
+std::span<const sim::VmId> EftState::producer_vms(dag::TaskId task) const {
+  const TaskInputs& inputs = task_inputs(task);
+  return std::span<const sim::VmId>(producer_vms_).subspan(inputs.producers_first,
+                                                           inputs.producers_count);
+}
+
+ReuseTerms EftState::reuse_terms(dag::TaskId task, platform::CategoryId category) const {
+  const TaskInputs& inputs = task_inputs(task);
+  const platform::VmCategory& c = platform_.category(category);
+  // estimate()'s expressions for a used host off the producer path.
+  return ReuseTerms{
+      .ready = inputs.at_dc_all,
+      .exec = 0.0 + wf_.task(task).conservative_weight() / c.speed +
+              inputs.d_in_all / platform_.bandwidth(),
+      .upload = upload_[task],
+      .price = c.price_per_second,
+  };
+}
+
 bool EftState::hosts_producer(const TaskInputs& inputs, sim::VmId vm) const {
   const std::uint32_t end = inputs.producers_first + inputs.producers_count;
   for (std::uint32_t i = inputs.producers_first; i < end; ++i)
@@ -131,7 +197,7 @@ PlacementEstimate EftState::estimate(dag::TaskId task, const HostCandidate& host
   return out;
 }
 
-sim::VmId EftState::commit(dag::TaskId task, const HostCandidate& host,
+sim::VmId EftState::commit(dag::TaskId task, HostCandidate host,
                            const PlacementEstimate& estimate, sim::Schedule& schedule) {
   require(finish_[task] < 0, "EftState::commit: task already committed");
   sim::VmId vm = host.vm;
@@ -144,6 +210,7 @@ sim::VmId EftState::commit(dag::TaskId task, const HostCandidate& host,
                   HostCandidate{vm, host.category, false});
     ++used_hosts_;
   }
+  reindex(vm, estimate.eft, host.fresh);
   schedule.assign(task, vm);
   avail_[vm] = estimate.eft;
   finish_[task] = estimate.eft;

@@ -30,9 +30,10 @@
 ///
 /// ## Incremental fast path (DESIGN.md Section 12)
 ///
-/// A 1000-task CyberShake provisions ~400 VMs, so a single list pass issues
-/// ~400k placement probes (MIN-MIN: hundreds of millions).  Three invariants
-/// of list scheduling make each probe O(1) instead of O(in-degree):
+/// A 1000-task CyberShake provisions ~400 VMs, so a full scan of the
+/// candidates costs ~280k placement probes per list pass (MIN-MIN, which
+/// re-probes its ready set, several times more).  Three invariants of list
+/// scheduling make each probe O(1) instead of O(in-degree):
 ///
 ///  * A task is only probed once all its predecessors are committed, and a
 ///    committed placement never changes during a pass.  The per-task input
@@ -48,6 +49,15 @@
 ///    the candidate set is maintained incrementally: used VMs in ascending
 ///    id order followed by one fresh slot per category.  candidates() is an
 ///    allocation-free span lookup.
+///
+/// ## Availability index (DESIGN.md Section 12)
+///
+/// The paper's getBestHost probes every used VM for every task.  EftState
+/// therefore also keeps, per category, the used VMs ordered by (planned
+/// availability, id).  On a used VM that holds none of the task's producers,
+/// EFT does not decrease and cost does not increase as availability grows,
+/// so get_best_host finds the exact Algorithm-2 winner among a handful of
+/// index neighbours per category.
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -82,6 +92,32 @@ struct PlacementEstimate {
 [[nodiscard]] bool better_placement(const PlacementEstimate& a, const HostCandidate& ha,
                                     const PlacementEstimate& b, const HostCandidate& hb);
 
+/// One entry of EftState's availability index: a used VM and its planned
+/// availability.  Entries are ordered by (avail, vm).
+struct AvailableVm {
+  Seconds avail = 0;
+  sim::VmId vm = sim::invalid_vm;
+};
+
+/// The terms estimate() shares across every used VM of one category that
+/// holds none of the task's producers.  On such a VM with availability a,
+///   eft  = max(a, ready) + exec
+///   cost = (eft - a + upload) * price
+/// evaluated in exactly that order.
+struct ReuseTerms {
+  Seconds ready = 0;   ///< every input of the task is at the DC
+  Seconds exec = 0;    ///< t_Exec on the category: no boot, no local data
+  Seconds upload = 0;  ///< conservative output-upload duration
+  Dollars price = 0;   ///< price per second of the category
+};
+
+/// A lower bound on the cost estimate() computes for any such VM whose
+/// availability a satisfies terms.ready < a <= max_avail, i.e. a VM that
+/// begins the task at its own availability.  There eft - a equals exec only
+/// up to the rounding of a + exec, which grows with a; the bound subtracts
+/// that rounding, plus a relative margin for every other rounding step.
+[[nodiscard]] Dollars reuse_cost_lower_bound(const ReuseTerms& terms, Seconds max_avail);
+
 /// Total placement probes (estimate() calls) issued on this thread since
 /// process start.  Monotone; bench_sched reads deltas around one plan call
 /// to report probes/sec.
@@ -102,13 +138,33 @@ class EftState {
   /// fresh slots.
   [[nodiscard]] std::size_t used_host_count() const { return used_hosts_; }
 
+  /// The candidate of a used VM.  Used VMs head candidates() in id order,
+  /// and every VM is provisioned by commit(), so VM v is candidates()[v].
+  [[nodiscard]] const HostCandidate& used_host(sim::VmId vm) const;
+
+  /// Used VMs of \p category ordered by (planned availability, id).  Built
+  /// on the first call, so kernels that never search it pay nothing; kept
+  /// sorted by commit() from then on.  The span is invalidated by commit().
+  [[nodiscard]] std::span<const AvailableVm> used_by_availability(
+      platform::CategoryId category) const;
+
+  /// The distinct VMs that run a predecessor of \p task.  All predecessors
+  /// must already be committed.
+  [[nodiscard]] std::span<const sim::VmId> producer_vms(dag::TaskId task) const;
+
+  /// The terms estimate() uses for \p task on any used VM of \p category
+  /// that holds none of its producers.  All predecessors must be committed.
+  [[nodiscard]] ReuseTerms reuse_terms(dag::TaskId task, platform::CategoryId category) const;
+
   /// Estimates placing \p task next on \p host.  All predecessors of the
   /// task must already be committed.
   [[nodiscard]] PlacementEstimate estimate(dag::TaskId task, const HostCandidate& host) const;
 
   /// Commits the placement, provisioning a fresh VM in \p schedule when
-  /// needed; returns the VM id used.  Invalidates candidates() spans.
-  sim::VmId commit(dag::TaskId task, const HostCandidate& host, const PlacementEstimate& estimate,
+  /// needed; returns the VM id used.  Invalidates candidates() spans.  The
+  /// host is taken by value: callers pass elements of candidates(), which
+  /// the commit itself reallocates.
+  sim::VmId commit(dag::TaskId task, HostCandidate host, const PlacementEstimate& estimate,
                    sim::Schedule& schedule);
 
   /// Planned finish time of a committed task.
@@ -135,6 +191,9 @@ class EftState {
 
   [[nodiscard]] const TaskInputs& task_inputs(dag::TaskId task) const;
   [[nodiscard]] bool hosts_producer(const TaskInputs& inputs, sim::VmId vm) const;
+  /// Moves used VM \p vm to availability \p avail in the index, or inserts
+  /// it when \p fresh.  No-op until the index is built.
+  void reindex(sim::VmId vm, Seconds avail, bool fresh);
 
   const dag::Workflow& wf_;
   const platform::Platform& platform_;
@@ -147,6 +206,7 @@ class EftState {
   std::size_t used_hosts_ = 0;
   mutable std::vector<TaskInputs> inputs_;      // lazy aggregates
   mutable std::vector<sim::VmId> producer_vms_; // arena backing TaskInputs slices
+  mutable std::vector<std::vector<AvailableVm>> by_avail_;  // per category; empty until built
   Seconds planned_makespan_ = 0;
 };
 

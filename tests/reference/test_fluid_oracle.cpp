@@ -15,6 +15,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,11 @@ struct Mode {
   const char* name;
   BytesPerSec aggregate;  // 0 = uncontended
 };
+
+// Without this gtest prints a Mode as its raw bytes, which hold the address
+// of `name`; that address moves with each build and load, and so would the
+// registered test names.
+void PrintTo(const Mode& mode, std::ostream* os) { *os << mode.name; }
 
 std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 

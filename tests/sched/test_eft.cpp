@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "pegasus/generator.hpp"
 #include "sched/best_host.hpp"
 #include "testing/helpers.hpp"
 
@@ -130,6 +136,75 @@ TEST(Eft, BetterPlacementOrdering) {
   cheap.cost = 2;
   EXPECT_TRUE(better_placement(cheap, used, fast, used));   // then cost
   EXPECT_TRUE(better_placement(fast, used, fast, fresh));   // then reuse
+}
+
+/// Each category's availability index must list exactly its used VMs,
+/// sorted by (planned availability, id).
+void expect_index_sorted(const EftState& state, const platform::Platform& platform) {
+  const auto hosts = state.candidates().first(state.used_host_count());
+  for (platform::CategoryId c = 0; c < platform.category_count(); ++c) {
+    std::vector<std::pair<Seconds, sim::VmId>> want;
+    for (const HostCandidate& host : hosts)
+      if (host.category == c) want.emplace_back(state.vm_available(host.vm), host.vm);
+    std::sort(want.begin(), want.end());
+    std::vector<std::pair<Seconds, sim::VmId>> got;
+    for (const AvailableVm& entry : state.used_by_availability(c))
+      got.emplace_back(entry.avail, entry.vm);
+    ASSERT_EQ(got, want) << "category " << c;
+  }
+}
+
+TEST(Eft, AvailabilityIndexFollowsEveryCommit) {
+  const dag::Workflow wf = pegasus::generate(pegasus::WorkflowType::montage, {60, 3, 0.5});
+  const platform::Platform platform = platform::paper_platform();
+  // Built before the first commit, and built lazily half-way through.
+  for (const bool early : {true, false}) {
+    EftState state(wf, platform);
+    sim::Schedule schedule(wf.task_count());
+    Rng rng(early ? 1 : 2);
+    if (early) (void)state.used_by_availability(0);
+    std::size_t step = 0;
+    for (const dag::TaskId task : wf.topological_order()) {
+      const auto hosts = state.candidates();
+      const HostCandidate host = hosts[rng.below(hosts.size())];
+      PlacementEstimate estimate = state.estimate(task, host);
+      // Planners only raise availability; also cover lowering it, and ties
+      // with another VM's availability.
+      if (!host.fresh && rng.below(4) == 0) estimate.eft = 0.5 * state.vm_available(host.vm);
+      if (state.used_host_count() > 0 && rng.below(4) == 0)
+        estimate.eft = state.vm_available(hosts[rng.below(state.used_host_count())].vm);
+      state.commit(task, host, estimate, schedule);
+      if (early || ++step > wf.task_count() / 2) {
+        expect_index_sorted(state, platform);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(Eft, ReuseCostLowerBoundHoldsAcrossMagnitudes) {
+  Rng rng(7);
+  const auto magnitude = [&](double lo, double hi) { return std::pow(10.0, rng.uniform(lo, hi)); };
+  for (int i = 0; i < 200000; ++i) {
+    ReuseTerms terms;
+    terms.exec = i % 7 == 0 ? 0.0 : magnitude(-6, 7);
+    terms.upload = i % 5 == 0 ? 0.0 : magnitude(-6, 5);
+    terms.price = magnitude(-8, 0);
+    // Availability from far below exec to far above it (1e15 leaves no
+    // fraction of a second in its ulp).
+    const Seconds max_avail = i % 11 == 0 ? 1e15 : magnitude(-3, 12);
+    const Seconds avail = i % 3 == 0 ? max_avail : max_avail * rng.uniform();
+    // estimate()'s operations on a VM that begins at its own availability.
+    const Seconds eft = avail + terms.exec;
+    const Dollars cost = (eft - avail + terms.upload) * terms.price;
+    const Dollars bound = reuse_cost_lower_bound(terms, max_avail);
+    ASSERT_LE(bound, cost) << "exec " << terms.exec << " upload " << terms.upload << " price "
+                           << terms.price << " avail " << avail << " of " << max_avail;
+    // Tight enough to rule a category out: off the nominal cost by rounding
+    // slack only.
+    ASSERT_GE(bound, (terms.exec + terms.upload) * terms.price * (1 - 1e-13) -
+                         1e-15 * (max_avail + terms.exec) * terms.price);
+  }
 }
 
 TEST(BestHost, PicksSmallestEftWithoutCap) {

@@ -267,8 +267,8 @@ int cmd_schedule(const cli::Args& args) {
       load_workflow(args.positional_at(0, "workflow file"), args.get_double("sigma", 0.5));
   const platform::Platform cloud = make_platform(args);
   const std::string algorithm = args.get("algorithm", "heft-budg");
-  const exp::BudgetLevels levels = exp::compute_budget_levels(wf, cloud);
-  const Dollars budget = args.has("budget") ? args.get_double("budget", 0) : levels.medium;
+  const Dollars budget = args.has("budget") ? args.get_double("budget", 0)
+                                            : exp::compute_budget_levels(wf, cloud).medium;
 
   ObsOptions obs_options(args);
   const sched::SchedulerInput input =
@@ -313,8 +313,8 @@ int cmd_simulate(const cli::Args& args) {
       load_workflow(args.positional_at(0, "workflow file"), args.get_double("sigma", 0.5));
   const platform::Platform cloud = make_platform(args);
   const std::string algorithm = args.get("algorithm", "heft-budg");
-  const exp::BudgetLevels levels = exp::compute_budget_levels(wf, cloud);
-  const Dollars budget = args.has("budget") ? args.get_double("budget", 0) : levels.medium;
+  const Dollars budget = args.has("budget") ? args.get_double("budget", 0)
+                                            : exp::compute_budget_levels(wf, cloud).medium;
 
   ObsOptions obs_options(args);
   const sched::SchedulerInput input =
