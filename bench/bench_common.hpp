@@ -23,10 +23,9 @@
 namespace cloudwf::bench {
 
 /// Campaign configuration for one workflow family at the scale selected by
-/// the environment.  \p heavy marks figures whose algorithms are orders of
-/// magnitude slower (the + variants); they get smaller defaults.
+/// the environment.
 inline exp::CampaignConfig figure_config(pegasus::WorkflowType type,
-                                         std::vector<std::string> algorithms, bool heavy) {
+                                         std::vector<std::string> algorithms) {
   exp::CampaignConfig config;
   config.type = type;
   config.algorithms = std::move(algorithms);
@@ -36,11 +35,6 @@ inline exp::CampaignConfig figure_config(pegasus::WorkflowType type,
     config.instances = 5;
     config.repetitions = 25;
     config.budget_points = 8;
-  } else if (heavy) {
-    config.tasks = 40;
-    config.instances = 2;
-    config.repetitions = 8;
-    config.budget_points = 5;
   } else {
     config.tasks = 90;
     config.instances = 3;
@@ -57,9 +51,9 @@ inline exp::CampaignConfig figure_config(pegasus::WorkflowType type,
 inline void run_figure_row(const std::string& figure, pegasus::WorkflowType type,
                            const std::vector<std::string>& algorithms,
                            const std::vector<std::pair<std::string, std::string>>& metrics,
-                           bool heavy, double low_budget_factor = 1.0,
+                           double low_budget_factor = 1.0,
                            double high_budget_cap_factor = 0.0) {
-  exp::CampaignConfig config = figure_config(type, algorithms, heavy);
+  exp::CampaignConfig config = figure_config(type, algorithms);
   config.low_budget_factor = low_budget_factor;
   config.high_budget_cap_factor = high_budget_cap_factor;
   // CLOUDWF_CHECKPOINT_DIR makes long figure regenerations crash-safe:

@@ -23,6 +23,6 @@ int main() {
       {"cost", "actual spend ($)"}};
   for (const pegasus::WorkflowType type :
        {pegasus::WorkflowType::epigenomics, pegasus::WorkflowType::sipht})
-    bench::run_figure_row("Extended families", type, algorithms, metrics, /*heavy=*/false);
+    bench::run_figure_row("Extended families", type, algorithms, metrics);
   return 0;
 }

@@ -16,6 +16,6 @@ int main() {
   const std::vector<std::pair<std::string, std::string>> metrics{
       {"makespan", "makespan (s)"}, {"cost", "total cost ($)"}, {"vms", "#VMs"}};
   for (const pegasus::WorkflowType type : pegasus::all_types())
-    bench::run_figure_row("Figure 1", type, algorithms, metrics, /*heavy=*/false);
+    bench::run_figure_row("Figure 1", type, algorithms, metrics);
   return 0;
 }

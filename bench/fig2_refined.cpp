@@ -17,7 +17,7 @@ int main() {
   const std::vector<std::pair<std::string, std::string>> metrics{
       {"makespan", "makespan (s)"}, {"cost", "total cost ($)"}, {"vms", "#VMs"}};
   for (const pegasus::WorkflowType type : pegasus::all_types())
-    bench::run_figure_row("Figure 2", type, algorithms, metrics, /*heavy=*/true,
-                          /*low_budget_factor=*/1.0, /*high_budget_cap_factor=*/1.6);
+    bench::run_figure_row("Figure 2", type, algorithms, metrics, /*low_budget_factor=*/1.0,
+                          /*high_budget_cap_factor=*/1.6);
   return 0;
 }

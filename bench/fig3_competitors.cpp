@@ -19,7 +19,6 @@ int main() {
       {"valid", "fraction of valid executions"},
       {"cost", "actual spend ($)"}};
   for (const pegasus::WorkflowType type : pegasus::all_types())
-    bench::run_figure_row("Figure 3", type, algorithms, metrics, /*heavy=*/false,
-                          /*low_budget_factor=*/0.5);
+    bench::run_figure_row("Figure 3", type, algorithms, metrics, /*low_budget_factor=*/0.5);
   return 0;
 }

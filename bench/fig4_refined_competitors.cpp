@@ -17,7 +17,7 @@ int main() {
       {"valid", "fraction of valid executions"},
       {"cost", "actual spend ($)"}};
   for (const pegasus::WorkflowType type : pegasus::all_types())
-    bench::run_figure_row("Figure 4", type, algorithms, metrics, /*heavy=*/true,
-                          /*low_budget_factor=*/0.5, /*high_budget_cap_factor=*/2.5);
+    bench::run_figure_row("Figure 4", type, algorithms, metrics, /*low_budget_factor=*/0.5,
+                          /*high_budget_cap_factor=*/2.5);
   return 0;
 }

@@ -52,10 +52,11 @@ int main(int argc, char** argv) try {
   const sim::Simulator simulator(wf, cloud);
   const sim::SimResult offline = simulator.run(out.schedule, realization);
 
-  sim::OnlinePolicy policy;
+  sim::RunOptions rescue;
+  sim::OnlinePolicy& policy = rescue.online.emplace();
   policy.timeout_sigmas = 2.0;
   policy.budget_cap = 1.5 * budget;  // allow some headroom for the rescue VM
-  const sim::SimResult online = simulator.run_online(out.schedule, realization, policy);
+  const sim::SimResult online = simulator.run(out.schedule, realization, rescue);
 
   std::cout << "offline: makespan " << offline.makespan << " s, cost $"
             << offline.total_cost() << "\n"

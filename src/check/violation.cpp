@@ -24,18 +24,6 @@ std::string_view to_string(InvariantCode code) {
   return "unknown";
 }
 
-InvariantCode parse_invariant_code(std::string_view name) {
-  for (const InvariantCode code :
-       {InvariantCode::record_range, InvariantCode::precedence, InvariantCode::slot_overlap,
-        InvariantCode::boot_order, InvariantCode::event_order, InvariantCode::makespan_identity,
-        InvariantCode::cost_conservation, InvariantCode::budget_cap,
-        InvariantCode::transfer_conservation, InvariantCode::schedule_structure,
-        InvariantCode::artifact_format}) {
-    if (name == to_string(code)) return code;
-  }
-  throw InvalidArgument("unknown invariant code '" + std::string(name) + "'");
-}
-
 void CheckReport::add(InvariantCode code, std::string subject, std::string message,
                       double expected, double actual) {
   violations.push_back(

@@ -36,9 +36,6 @@ enum class InvariantCode {
 /// Stable lower-snake-case name (report "code" field).
 [[nodiscard]] std::string_view to_string(InvariantCode code);
 
-/// Inverse of to_string; throws InvalidArgument on unknown names.
-[[nodiscard]] InvariantCode parse_invariant_code(std::string_view name);
-
 /// One violated invariant instance.
 struct Violation {
   InvariantCode code{};

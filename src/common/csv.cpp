@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <exception>
 
 #include "common/error.hpp"
 
@@ -39,13 +38,6 @@ CsvWriter& CsvWriter::field(double value) {
   } else {
     out_ << (std::isnan(value) ? "nan" : (value > 0 ? "inf" : "-inf"));
   }
-  ++fields_in_row_;
-  return *this;
-}
-
-CsvWriter& CsvWriter::field(long long value) {
-  separator_if_needed();
-  out_ << value;
   ++fields_in_row_;
   return *this;
 }
@@ -151,24 +143,6 @@ std::vector<std::vector<std::string>> parse_csv(std::string_view text, char sepa
     rows.push_back(std::move(row));
   }
   return rows;
-}
-
-CsvFile::CsvFile(const std::string& path) : file_(path), writer_(file_.stream()) {}
-
-CsvFile::~CsvFile() {
-  if (file_.committed()) return;
-  // Commit only on normal scope exit: if the writer's scope is unwinding
-  // from an exception the content is incomplete and must be discarded.
-  if (std::uncaught_exceptions() == 0) {
-    try {
-      file_.commit();
-    } catch (...) {  // a destructor must not throw; the temp is discarded
-    }
-  }
-}
-
-void CsvFile::commit() {
-  if (!file_.committed()) file_.commit();
 }
 
 }  // namespace cloudwf

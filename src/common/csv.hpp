@@ -9,8 +9,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/atomic_file.hpp"
-
 namespace cloudwf {
 
 /// Streams rows of a CSV document to any std::ostream.
@@ -28,7 +26,6 @@ class CsvWriter {
 
   CsvWriter& field(std::string_view value);
   CsvWriter& field(double value);
-  CsvWriter& field(long long value);
   CsvWriter& field(std::size_t value);
   CsvWriter& field(int value);
 
@@ -55,28 +52,5 @@ class CsvWriter {
 /// Blank lines are skipped; throws ValidationError on an unterminated quote.
 [[nodiscard]] std::vector<std::vector<std::string>> parse_csv(std::string_view text,
                                                               char separator = ',');
-
-/// Convenience owner that writes a CSV file on disk.
-///
-/// Content is staged through AtomicFile and atomically renamed into place
-/// by commit() (or the destructor), so a crash mid-campaign never leaves a
-/// torn CSV behind.
-class CsvFile {
- public:
-  explicit CsvFile(const std::string& path);
-
-  /// Commits on destruction unless commit() already ran or the stack is
-  /// unwinding from an exception (then the temporary is discarded).
-  ~CsvFile();
-
-  [[nodiscard]] CsvWriter& writer() { return writer_; }
-
-  /// Publishes the file at its destination path; idempotent.
-  void commit();
-
- private:
-  AtomicFile file_;
-  CsvWriter writer_;
-};
 
 }  // namespace cloudwf

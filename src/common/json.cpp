@@ -46,11 +46,6 @@ const Json::Object& Json::as_object() const {
   return std::get<Object>(value_);
 }
 
-Json::Array& Json::as_array() {
-  require(is_array(), "Json: not an array");
-  return std::get<Array>(value_);
-}
-
 Json::Object& Json::as_object() {
   require(is_object(), "Json: not an object");
   return std::get<Object>(value_);

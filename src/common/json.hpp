@@ -66,7 +66,6 @@ class Json {
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
   [[nodiscard]] const Object& as_object() const;
-  [[nodiscard]] Array& as_array();
   [[nodiscard]] Object& as_object();
 
   /// Object member access; throws if not an object or key missing.

@@ -115,11 +115,6 @@ bool log_json() { return json_storage().load(std::memory_order_relaxed); }
 
 void set_log_json(bool enabled) { json_storage().store(enabled, std::memory_order_relaxed); }
 
-void log_message(LogLevel level, std::string_view message) {
-  if (level < log_threshold()) return;
-  emit_record(level, {}, message);
-}
-
 void log_message(LogLevel level, std::string_view component, std::string_view message) {
   if (level < log_threshold()) return;
   emit_record(level, component, message);

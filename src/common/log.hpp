@@ -28,75 +28,18 @@ void set_log_threshold(LogLevel level);
 void set_log_json(bool enabled);
 
 /// Emits \p message to stderr if \p level passes the threshold.
-void log_message(LogLevel level, std::string_view message);
-
-/// Component-tagged variant; \p component names the emitting subsystem
-/// ("runner", "campaign", ...).  Plain mode renders it as a `component:`
-/// prefix, JSON mode as the "component" field.
+/// \p component names the emitting subsystem ("runner", ...): plain mode
+/// renders it as a `component:` prefix, JSON mode as the "component" field;
+/// an empty one is left out.
 void log_message(LogLevel level, std::string_view component, std::string_view message);
 
-namespace detail {
-
-template <typename... Args>
-void log_fmt(LogLevel level, const Args&... args) {
-  if (level < log_threshold()) return;
-  std::ostringstream os;
-  (os << ... << args);
-  log_message(level, os.str());
-}
-
-template <typename... Args>
-void log_fmt_c(LogLevel level, std::string_view component, const Args&... args) {
-  if (level < log_threshold()) return;
-  std::ostringstream os;
-  (os << ... << args);
-  log_message(level, component, os.str());
-}
-
-}  // namespace detail
-
-template <typename... Args>
-void log_debug(const Args&... args) {
-  detail::log_fmt(LogLevel::debug, args...);
-}
-
-template <typename... Args>
-void log_info(const Args&... args) {
-  detail::log_fmt(LogLevel::info, args...);
-}
-
-template <typename... Args>
-void log_warn(const Args&... args) {
-  detail::log_fmt(LogLevel::warn, args...);
-}
-
-template <typename... Args>
-void log_error(const Args&... args) {
-  detail::log_fmt(LogLevel::error, args...);
-}
-
-/// \name Component-tagged convenience wrappers
-/// First argument is the component name, the rest stream into the message.
-///@{
-template <typename... Args>
-void log_debug_c(std::string_view component, const Args&... args) {
-  detail::log_fmt_c(LogLevel::debug, component, args...);
-}
-
+/// Streams \p args into one info-level message tagged with \p component.
 template <typename... Args>
 void log_info_c(std::string_view component, const Args&... args) {
-  detail::log_fmt_c(LogLevel::info, component, args...);
+  if (LogLevel::info < log_threshold()) return;
+  std::ostringstream os;
+  (os << ... << args);
+  log_message(LogLevel::info, component, os.str());
 }
-
-template <typename... Args>
-void log_warn_c(std::string_view component, const Args&... args) {
-  detail::log_fmt_c(LogLevel::warn, component, args...);
-}
-
-template <typename... Args>
-void log_error_c(std::string_view component, const Args&... args) {
-  detail::log_fmt_c(LogLevel::error, component, args...);
-}
-///@}
 
 }  // namespace cloudwf

@@ -21,23 +21,6 @@ void Accumulator::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void Accumulator::merge(const Accumulator& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Accumulator::mean() const {
   require(count_ > 0, "Accumulator::mean: no observations");
   return mean_;
@@ -59,8 +42,6 @@ double Accumulator::max() const {
   require(count_ > 0, "Accumulator::max: no observations");
   return max_;
 }
-
-double Accumulator::sum() const { return mean_ * static_cast<double>(count_); }
 
 Summary::Summary(std::vector<double> values) : values_(std::move(values)) {}
 
@@ -94,7 +75,6 @@ double Summary::max() const {
   return *std::max_element(values_.begin(), values_.end());
 }
 
-double Summary::median() const { return quantile(0.5); }
 
 double Summary::quantile(double q) const {
   require(!values_.empty(), "Summary::quantile: no observations");

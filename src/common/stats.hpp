@@ -19,9 +19,6 @@ class Accumulator {
   /// Adds one observation.
   void add(double x);
 
-  /// Merges another accumulator into this one (parallel reduction).
-  void merge(const Accumulator& other);
-
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] double mean() const;
   /// Sample variance (n-1 denominator); 0 for fewer than two observations.
@@ -29,7 +26,6 @@ class Accumulator {
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
-  [[nodiscard]] double sum() const;
 
  private:
   std::size_t count_ = 0;
@@ -53,7 +49,6 @@ class Summary {
   [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
-  [[nodiscard]] double median() const;
   /// Linear-interpolated quantile, q in [0, 1].
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] const std::vector<double>& values() const { return values_; }

@@ -39,12 +39,6 @@ std::vector<const XmlElement*> XmlElement::children_named(std::string_view name)
   return matches;
 }
 
-const XmlElement* XmlElement::first_child(std::string_view name) const {
-  for (const XmlElement& child : children_)
-    if (child.local_name() == name) return &child;
-  return nullptr;
-}
-
 void XmlElement::add_attribute(std::string name, std::string value) {
   attributes_.emplace_back(std::move(name), std::move(value));
 }

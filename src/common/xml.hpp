@@ -39,8 +39,6 @@ class XmlElement {
   [[nodiscard]] const std::vector<XmlElement>& children() const { return children_; }
   /// Child elements whose local name equals \p name.
   [[nodiscard]] std::vector<const XmlElement*> children_named(std::string_view name) const;
-  /// First child with local name \p name or nullptr.
-  [[nodiscard]] const XmlElement* first_child(std::string_view name) const;
 
   /// Concatenated text content of this element (children's text excluded).
   [[nodiscard]] const std::string& text() const { return text_; }

@@ -39,22 +39,6 @@ std::vector<Seconds> bottom_levels(const Workflow& wf, const RankParams& params)
   return rank;
 }
 
-std::vector<Seconds> top_levels(const Workflow& wf, const RankParams& params) {
-  check_params(params);
-  std::vector<Seconds> rank(wf.task_count(), 0.0);
-  for (TaskId t : wf.topological_order()) {
-    Seconds best_pred = 0.0;
-    for (EdgeId e : wf.in_edges(t)) {
-      const Edge& edge = wf.edge(e);
-      best_pred = std::max(best_pred, rank[edge.src] +
-                                          estimated_compute_time(wf.task(edge.src), params) +
-                                          edge.bytes / params.bandwidth);
-    }
-    rank[t] = best_pred;
-  }
-  return rank;
-}
-
 std::vector<std::size_t> precedence_levels(const Workflow& wf) {
   std::vector<std::size_t> level(wf.task_count(), 0);
   for (TaskId t : wf.topological_order()) {
@@ -71,41 +55,6 @@ std::vector<std::vector<TaskId>> tasks_by_level(const Workflow& wf) {
   std::vector<std::vector<TaskId>> groups(depth);
   for (TaskId t = 0; t < wf.task_count(); ++t) groups[level[t]].push_back(t);
   return groups;
-}
-
-std::vector<TaskId> critical_path(const Workflow& wf, const RankParams& params) {
-  const auto rank = bottom_levels(wf, params);
-  // Start from the entry with the largest bottom level, then greedily follow
-  // the successor that realizes the parent's rank.
-  TaskId current = invalid_task;
-  Seconds best = -1.0;
-  for (TaskId t : wf.entry_tasks()) {
-    if (rank[t] > best) {
-      best = rank[t];
-      current = t;
-    }
-  }
-  CLOUDWF_ASSERT(current != invalid_task);
-
-  std::vector<TaskId> path;
-  for (;;) {
-    path.push_back(current);
-    const auto out = wf.out_edges(current);
-    if (out.empty()) break;
-    TaskId next = invalid_task;
-    Seconds next_score = -1.0;
-    for (EdgeId e : out) {
-      const Edge& edge = wf.edge(e);
-      const Seconds score = edge.bytes / params.bandwidth + rank[edge.dst];
-      if (score > next_score) {
-        next_score = score;
-        next = edge.dst;
-      }
-    }
-    CLOUDWF_ASSERT(next != invalid_task);
-    current = next;
-  }
-  return path;
 }
 
 Seconds critical_path_length(const Workflow& wf, const RankParams& params) {

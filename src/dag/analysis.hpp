@@ -4,8 +4,8 @@
 /// \brief Structural and temporal DAG analyses used by the schedulers.
 ///
 /// Bottom levels (HEFT's upward rank) drive HEFTBUDG's task order; precedence
-/// levels drive BDT's budget trickling; the critical path drives CG+'s
-/// refinement loop; the metrics feed the workflow-structure discussion of
+/// levels drive BDT's budget trickling; the critical-path length and the
+/// metrics feed the workflow-structure discussion of
 /// Section V-B (Bag-of-Tasks-ness of LIGO/CYBERSHAKE vs MONTAGE).
 
 #include <vector>
@@ -29,19 +29,12 @@ struct RankParams {
 /// of (bytes/bw + rank(succ)).  Exit tasks have rank equal to their own time.
 [[nodiscard]] std::vector<Seconds> bottom_levels(const Workflow& wf, const RankParams& params);
 
-/// Top level (downward rank) per task: longest time from any entry up to, and
-/// excluding, the task itself.
-[[nodiscard]] std::vector<Seconds> top_levels(const Workflow& wf, const RankParams& params);
-
 /// Precedence level per task: 0 for entries, 1 + max over predecessors
 /// otherwise (BDT's level grouping).
 [[nodiscard]] std::vector<std::size_t> precedence_levels(const Workflow& wf);
 
 /// Tasks grouped by precedence level, levels in topological order.
 [[nodiscard]] std::vector<std::vector<TaskId>> tasks_by_level(const Workflow& wf);
-
-/// A critical path (entry to exit) under \p params, as an ordered task list.
-[[nodiscard]] std::vector<TaskId> critical_path(const Workflow& wf, const RankParams& params);
 
 /// Length (seconds) of the critical path: a lower bound on any makespan with
 /// unlimited identical VMs of speed mean_speed (ignoring boot).

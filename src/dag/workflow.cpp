@@ -70,11 +70,8 @@ void Workflow::freeze() {
   }
 
   entries_.clear();
-  exits_.clear();
-  for (TaskId t = 0; t < n; ++t) {
+  for (TaskId t = 0; t < n; ++t)
     if (in_edges_[t].empty()) entries_.push_back(t);
-    if (out_edges_[t].empty()) exits_.push_back(t);
-  }
 
   // Kahn's algorithm; detects cycles.
   topo_order_.clear();
@@ -158,11 +155,6 @@ std::span<const EdgeId> Workflow::out_edges(TaskId task) const {
 std::span<const TaskId> Workflow::entry_tasks() const {
   require_frozen("entry_tasks");
   return entries_;
-}
-
-std::span<const TaskId> Workflow::exit_tasks() const {
-  require_frozen("exit_tasks");
-  return exits_;
 }
 
 std::span<const TaskId> Workflow::topological_order() const {

@@ -70,8 +70,6 @@ class Workflow {
   [[nodiscard]] std::span<const EdgeId> out_edges(TaskId task) const;
   /// Tasks with no predecessor.
   [[nodiscard]] std::span<const TaskId> entry_tasks() const;
-  /// Tasks with no successor.
-  [[nodiscard]] std::span<const TaskId> exit_tasks() const;
   /// A topological order of all tasks.
   [[nodiscard]] std::span<const TaskId> topological_order() const;
 
@@ -116,7 +114,6 @@ class Workflow {
   std::vector<std::vector<EdgeId>> in_edges_;
   std::vector<std::vector<EdgeId>> out_edges_;
   std::vector<TaskId> entries_;
-  std::vector<TaskId> exits_;
   std::vector<TaskId> topo_order_;
   Instructions total_mean_weight_ = 0;
   Instructions total_conservative_weight_ = 0;

@@ -76,7 +76,6 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
       throw InternalError("CLOUDWF_CHECK: " + report.text() + " [workflow " + wf.name() + "]");
   }
 
-  const bool inject = config.faults.enabled();
   const Rng base(config.seed);
   std::size_t valid = 0;
   std::size_t in_time = 0;
@@ -101,14 +100,14 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
     // Scoped so the simulator's engine arena is freed before the quantiles
     // below copy the pooled waits.
     const sim::Simulator simulator(wf, platform);
+    sim::RunOptions options;
+    options.recovery = config.recovery;
     for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
       check_deadline(deadline, algorithm, "repetition " + std::to_string(rep), config);
       Rng stream = base.fork(rep);
       const dag::WeightRealization weights = dag::sample_weights(wf, stream);
-      const sim::SimResult run =
-          inject ? simulator.run_with_faults(output.schedule, weights,
-                                             config.faults.for_repetition(rep), config.recovery)
-                 : simulator.run(output.schedule, weights);
+      options.faults = config.faults.for_repetition(rep);
+      const sim::SimResult run = simulator.run(output.schedule, weights, options);
       result.makespan.add(run.makespan);
       result.cost.add(run.total_cost());
       const bool within_budget = run.total_cost() <= budget + money_epsilon;

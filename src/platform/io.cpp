@@ -75,11 +75,4 @@ std::string to_json(const Platform& platform) {
   return Json(std::move(root)).dump(2);
 }
 
-void save_json(const Platform& platform, const std::string& path) {
-  std::ofstream out(path);
-  require(out.good(), "platform::save_json: cannot open " + path);
-  out << to_json(platform) << '\n';
-  require(out.good(), "platform::save_json: write failed for " + path);
-}
-
 }  // namespace cloudwf::platform

@@ -36,7 +36,4 @@ namespace cloudwf::platform {
 /// Serializes \p platform to pretty-printed JSON.
 [[nodiscard]] std::string to_json(const Platform& platform);
 
-/// Writes \p platform to a JSON file.
-void save_json(const Platform& platform, const std::string& path);
-
 }  // namespace cloudwf::platform

@@ -46,7 +46,8 @@ sim::Schedule single_vm_schedule(const dag::Workflow& wf, platform::CategoryId c
 Dollars single_vm_cost(const dag::Workflow& wf, const platform::Platform& platform,
                        platform::CategoryId category) {
   const sim::Simulator simulator(wf, platform);
-  return simulator.run_conservative(single_vm_schedule(wf, category)).total_cost();
+  return simulator.run(single_vm_schedule(wf, category), dag::conservative_weights(wf))
+      .total_cost();
 }
 
 SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
@@ -155,7 +156,8 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
 
   // ---- CG+: critical-path refinement --------------------------------------
   const sim::Simulator simulator(wf, platform);
-  sim::SimResult current = simulator.run_conservative(schedule);
+  const dag::WeightRealization conservative = dag::conservative_weights(wf);
+  sim::SimResult current = simulator.run(schedule, conservative);
   sim::Predictor predictor(wf, platform, schedule);
   // Generous iteration cap: each applied move strictly reduces makespan, but
   // guard against floating-point ping-pong anyway.
@@ -186,7 +188,7 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
     if (!best) break;  // leftover budget cannot buy time
     schedule.apply(*best);
     predictor.rebase(schedule);
-    current = simulator.run_conservative(schedule);
+    current = simulator.run(schedule, conservative);
   }
 
   return finish(input, std::move(schedule));

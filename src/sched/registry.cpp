@@ -97,6 +97,4 @@ std::unique_ptr<Scheduler> make_scheduler(std::string_view name) {
   return entry->make();
 }
 
-bool is_budget_aware(std::string_view name) { return scheduler_info(name).needs_budget; }
-
 }  // namespace cloudwf::sched

@@ -47,8 +47,4 @@ struct SchedulerInfo {
 /// Throws InvalidArgument for unknown names.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(std::string_view name);
 
-/// True when \p name designates a budget-aware algorithm (ignores budget
-/// otherwise).  Equivalent to scheduler_info(name).needs_budget.
-[[nodiscard]] bool is_budget_aware(std::string_view name);
-
 }  // namespace cloudwf::sched

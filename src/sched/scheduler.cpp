@@ -27,7 +27,8 @@ SchedulerOutput Scheduler::finish(const SchedulerInput& input, sim::Schedule sch
   const obs::ProfileScope profile("sched.predict");
   sim::Schedule compacted = schedule.compacted();
   const sim::Simulator simulator(input.wf, input.platform);
-  const sim::SimResult prediction = simulator.run_conservative(compacted);
+  const sim::SimResult prediction =
+      simulator.run(compacted, dag::conservative_weights(input.wf));
   SchedulerOutput out{std::move(compacted), prediction.makespan, prediction.total_cost(), false};
   out.budget_feasible = out.predicted_cost <= input.budget + money_epsilon;
   return out;

@@ -51,9 +51,10 @@ struct SchedulerInput {
 
 /// A produced schedule plus its deterministic prediction.
 ///
-/// The prediction comes from running the simulator with conservative
-/// (mu + sigma) weights — the same `simulate()` Algorithm 5 uses — so every
-/// algorithm's feasibility is judged by one consistent model.
+/// The prediction is one sim::Simulator::run() with
+/// dag::conservative_weights() (mu + sigma) — the same `simulate()`
+/// Algorithm 5 uses — so every algorithm's feasibility is judged by one
+/// consistent model.
 struct SchedulerOutput {
   sim::Schedule schedule;         ///< complete, compacted mapping
   Seconds predicted_makespan = 0; ///< conservative-weights makespan
@@ -73,7 +74,8 @@ class Scheduler {
   [[nodiscard]] virtual SchedulerOutput schedule(const SchedulerInput& input) const = 0;
 
  protected:
-  /// Runs the conservative predictor on \p schedule and packages the output.
+  /// Compacts \p schedule, runs it once with conservative weights and
+  /// packages the output.
   [[nodiscard]] static SchedulerOutput finish(const SchedulerInput& input,
                                               sim::Schedule schedule);
 };

@@ -1,8 +1,5 @@
 #include "sim/schedule_io.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
 
@@ -94,14 +91,6 @@ Schedule schedule_from_json(const Json& json, const dag::Workflow& wf) {
 void save_schedule_json(const Schedule& schedule, const dag::Workflow& wf,
                         const std::string& path) {
   write_file_atomic(path, schedule_to_json(schedule, wf).dump(2) + "\n");
-}
-
-Schedule load_schedule_json(const std::string& path, const dag::Workflow& wf) {
-  std::ifstream in(path);
-  if (!in.good()) throw IoError("cannot open schedule file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return schedule_from_json(Json::parse(buffer.str()), wf);
 }
 
 }  // namespace cloudwf::sim

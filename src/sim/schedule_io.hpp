@@ -31,9 +31,8 @@ namespace cloudwf::sim {
 /// names, out-of-range fields or a task assigned twice.
 [[nodiscard]] Schedule schedule_from_json(const Json& json, const dag::Workflow& wf);
 
-/// Atomic-file wrappers around the JSON forms.
+/// Writes the JSON form of \p schedule to \p path through an AtomicFile.
 void save_schedule_json(const Schedule& schedule, const dag::Workflow& wf,
                         const std::string& path);
-[[nodiscard]] Schedule load_schedule_json(const std::string& path, const dag::Workflow& wf);
 
 }  // namespace cloudwf::sim

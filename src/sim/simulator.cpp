@@ -96,8 +96,8 @@ class Execution {
 
   /// Sets what the next runs execute with: \p weights, the online \p policy
   /// (nullptr = static execution) and the fault layer (\p faults nullptr =
-  /// none; \p recovery set whenever \p faults is).  Every argument must
-  /// outlive those runs.  Samples the bus's enabled state and reseeds the
+  /// none, else an enabled model; \p recovery set whenever \p faults is).
+  /// Every argument must outlive those runs.  Samples the bus's enabled state and reseeds the
   /// fault injector, so call it once per Simulator run.
   void configure(const dag::WeightRealization& weights, const OnlinePolicy* policy,
                  const FaultModel* faults, const RecoveryPolicy* recovery);
@@ -177,8 +177,7 @@ class Execution {
   // Per-run inputs (configure()).
   const dag::WeightRealization* weights_ = nullptr;
   const OnlinePolicy* policy_ = nullptr;      // nullptr = offline (static) execution
-  const FaultModel* faults_ = nullptr;        // nullptr = no fault layer
-  const RecoveryPolicy* recovery_ = nullptr;  // set whenever faults_ is
+  const RecoveryPolicy* recovery_ = nullptr;  // set whenever injector_ is
   bool obs_ = false;                          // cached bus_ && bus_->enabled()
   std::optional<FaultInjector> injector_;  // engaged only for an enabled model
   FluidNetwork fluid_;
@@ -299,11 +298,10 @@ void Execution::configure(const dag::WeightRealization& weights, const OnlinePol
                           const FaultModel* faults, const RecoveryPolicy* recovery) {
   weights_ = &weights;
   policy_ = policy;
-  faults_ = faults;
   recovery_ = recovery;
   obs_ = bus_ != nullptr && bus_->enabled();
   injector_.reset();
-  if (faults_ != nullptr && faults_->enabled()) injector_.emplace(*faults_);
+  if (faults != nullptr) injector_.emplace(*faults);
 }
 
 void Execution::load(const Schedule& schedule) {
@@ -475,7 +473,7 @@ void Execution::on_boot_done(VmId vm) {
     if (state.boot_attempts < recovery_->max_boot_attempts) {
       // Re-provision: a fresh acquisition after the IaaS acquisition delay.
       ++state.boot_attempts;
-      state.boot_done = now_ + faults_->acquisition_delay + platform_.boot_delay();
+      state.boot_done = now_ + injector_->model().acquisition_delay + platform_.boot_delay();
       push_event(state.boot_done, Event::Kind::boot_done, vm, dag::invalid_task);
     } else {
       abandon_boot(vm);
@@ -1556,8 +1554,6 @@ void Predictor::rebase(const Schedule& schedule) { engine_->rebase(schedule); }
 
 Prediction Predictor::predict() { return engine_->predict(); }
 
-Prediction Predictor::predict(const Move& move) { return *engine_->predict(move, infinity); }
-
 std::optional<Prediction> Predictor::predict(const Move& move, Seconds cutoff) {
   return engine_->predict(move, cutoff);
 }
@@ -1582,44 +1578,28 @@ Simulator::Simulator(const dag::Workflow& wf, const platform::Platform& platform
 
 Simulator::~Simulator() = default;
 
-SimResult Simulator::run_in_arena(const Schedule& schedule,
-                                  const dag::WeightRealization& weights,
-                                  const OnlinePolicy* policy, const FaultModel* faults,
-                                  const RecoveryPolicy* recovery) const {
+void RunOptions::validate() const {
+  if (online) {
+    require(online->timeout_sigmas >= 0, "RunOptions: negative online timeout_sigmas");
+    require(online->min_speedup >= 1.0, "RunOptions: online min_speedup must be >= 1");
+  }
+  faults.validate();
+  recovery.validate();
+  require(!online || !faults.enabled(),
+          "RunOptions: online re-scheduling cannot be combined with fault injection");
+}
+
+SimResult Simulator::run(const Schedule& schedule, const dag::WeightRealization& weights,
+                         const RunOptions& options) const {
+  options.validate();
   if (!arena_) arena_ = std::make_unique<Arena>(wf_, platform_, bus_);
-  arena_->configure(weights, policy, faults, recovery);
+  const bool faults = options.faults.enabled();
+  arena_->configure(weights, options.online ? &*options.online : nullptr,
+                    faults ? &options.faults : nullptr, faults ? &options.recovery : nullptr);
   arena_->load(schedule);
   SimResult result = arena_->run();
   if (const PostRunCheck hook = post_run_check()) hook(wf_, platform_, schedule, result);
   return result;
-}
-
-SimResult Simulator::run(const Schedule& schedule, const dag::WeightRealization& weights) const {
-  return run_in_arena(schedule, weights, nullptr, nullptr, nullptr);
-}
-
-SimResult Simulator::run_online(const Schedule& schedule, const dag::WeightRealization& weights,
-                                const OnlinePolicy& policy) const {
-  require(policy.timeout_sigmas >= 0, "run_online: negative timeout_sigmas");
-  require(policy.min_speedup >= 1.0, "run_online: min_speedup must be >= 1");
-  return run_in_arena(schedule, weights, &policy, nullptr, nullptr);
-}
-
-SimResult Simulator::run_with_faults(const Schedule& schedule,
-                                     const dag::WeightRealization& weights,
-                                     const FaultModel& faults,
-                                     const RecoveryPolicy& recovery) const {
-  faults.validate();
-  recovery.validate();
-  return run_in_arena(schedule, weights, nullptr, &faults, &recovery);
-}
-
-SimResult Simulator::run_conservative(const Schedule& schedule) const {
-  return run(schedule, dag::conservative_weights(wf_));
-}
-
-SimResult Simulator::run_mean(const Schedule& schedule) const {
-  return run(schedule, dag::mean_weights(wf_));
 }
 
 std::vector<dag::TaskId> schedule_critical_path(const SimResult& result) {

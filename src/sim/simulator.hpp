@@ -64,13 +64,26 @@ struct OnlinePolicy {
   Dollars budget_cap = std::numeric_limits<Dollars>::infinity();  ///< spend guard
 };
 
+/// How one Simulator::run executes.  The default is the paper's static,
+/// fault-free execution; the online policy and the fault layer are
+/// exclusive.
+struct RunOptions {
+  std::optional<OnlinePolicy> online{};  ///< online re-scheduling when set
+  FaultModel faults{};                   ///< injects nothing unless enabled()
+  RecoveryPolicy recovery{};             ///< read only when faults are enabled
+
+  /// Throws InvalidArgument on an out-of-range knob, or when online
+  /// re-scheduling is combined with enabled faults.
+  void validate() const;
+};
+
 /// Executes schedules for one (workflow, platform) pair.
 ///
 /// A Simulator owns one engine arena, built by its first run and reset by
 /// every later one, so repeated runs (the realizations of an evaluation)
 /// neither rebuild nor reallocate the engine: once warm, a run of a plan it
 /// has run before allocates only the returned SimResult.  The arena lives
-/// exactly as long as the Simulator.  Its run methods are const but share
+/// exactly as long as the Simulator.  Its run method is const but shares
 /// that arena, so a Simulator is not thread-safe: give each thread its own.
 class Simulator {
  public:
@@ -84,44 +97,19 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Runs \p schedule with concrete \p weights.
-  /// Throws ValidationError if the schedule is malformed or deadlocks.
-  [[nodiscard]] SimResult run(const Schedule& schedule,
-                              const dag::WeightRealization& weights) const;
-
-  /// Runs \p schedule with the online re-scheduling \p policy active.
-  [[nodiscard]] SimResult run_online(const Schedule& schedule,
-                                     const dag::WeightRealization& weights,
-                                     const OnlinePolicy& policy) const;
-
-  /// Runs \p schedule while injecting faults from \p faults and recovering
-  /// per \p recovery (see faults.hpp).  With a disabled model (all rates
-  /// zero) this is bit-identical to run().  Never throws on injected
-  /// failures: exhausted recovery marks tasks failed in the result instead.
-  [[nodiscard]] SimResult run_with_faults(const Schedule& schedule,
-                                          const dag::WeightRealization& weights,
-                                          const FaultModel& faults,
-                                          const RecoveryPolicy& recovery = {}) const;
-
-  /// Convenience: run with conservative (mu + sigma) weights — the
-  /// deterministic predictor used by HEFTBUDG+/CG+ (Algorithm 5).
-  [[nodiscard]] SimResult run_conservative(const Schedule& schedule) const;
-
-  /// Convenience: run with mean weights.
-  [[nodiscard]] SimResult run_mean(const Schedule& schedule) const;
+  /// Runs \p schedule with concrete \p weights, as \p options says: default
+  /// options are the plain static, fault-free execution.  Throws
+  /// InvalidArgument on invalid options (RunOptions::validate()) and
+  /// ValidationError if the schedule is malformed or deadlocks.  Never throws
+  /// on injected faults: exhausted recovery marks tasks failed in the result.
+  [[nodiscard]] SimResult run(const Schedule& schedule, const dag::WeightRealization& weights,
+                              const RunOptions& options = {}) const;
 
   [[nodiscard]] const dag::Workflow& workflow() const { return wf_; }
   [[nodiscard]] const platform::Platform& platform() const { return platform_; }
 
  private:
   class Arena;
-
-  /// Every run* entry point: the arena runs \p schedule, then the post-run
-  /// hook sees the result.
-  [[nodiscard]] SimResult run_in_arena(const Schedule& schedule,
-                                       const dag::WeightRealization& weights,
-                                       const OnlinePolicy* policy, const FaultModel* faults,
-                                       const RecoveryPolicy* recovery) const;
 
   const dag::Workflow& wf_;
   const platform::Platform& platform_;
@@ -137,19 +125,20 @@ struct Prediction {
 };
 
 /// The deterministic predictor of the refinement loops (Algorithm 5, CG+):
-/// Simulator::run_conservative() of a base schedule with one Move applied,
-/// without copying the schedule or building a SimResult.
+/// Simulator::run() of a base schedule with one Move applied and
+/// dag::conservative_weights(), without copying the schedule or building a
+/// SimResult.
 ///
 /// One Predictor serves one refinement call and is not thread-safe.  It
 /// computes the conservative weights once and keeps one engine arena that
 /// every probe resets, so a probe allocates nothing once the first has run.
 /// A probe applies its move as a delta to the predictor's own copy of the
-/// plan and reverts it afterwards.  Predictions equal run_conservative() bit
-/// for bit.  A probe with a cutoff first evaluates a static lower bound on
+/// plan and reverts it afterwards.  Predictions equal that conservative run
+/// bit for bit.  A probe with a cutoff first evaluates a static lower bound on
 /// the makespan and skips the simulation when the bound already reaches the
 /// cutoff.  While a post-run hook is installed (CLOUDWF_CHECK=1), every
 /// probe also builds the moved Schedule and the full SimResult and passes
-/// them to the hook, exactly as run_conservative() does.
+/// them to the hook, exactly as Simulator::run() does.
 class Predictor {
  public:
   /// Both references must outlive the predictor; \p wf must be frozen.
@@ -167,18 +156,16 @@ class Predictor {
   [[nodiscard]] Prediction predict();
 
   /// Prediction of the base schedule with \p move applied (the move must be
-  /// valid for the base: see Move).  Throws ValidationError if the move puts
-  /// a task before its same-VM predecessor, like run_conservative() would.
-  [[nodiscard]] Prediction predict(const Move& move);
-
-  /// As predict(move), but returns nullopt without simulating when
-  /// lower_bound(move) proves the makespan is not below \p cutoff.  The
+  /// valid for the base: see Move), or nullopt without simulating when
+  /// lower_bound(move) proves the makespan is not below \p cutoff (pass
+  /// +infinity to always simulate).  Throws ValidationError if the move puts
+  /// a task before its same-VM predecessor, like Simulator::run() would.  The
   /// refinement loops pass the makespan a move must beat.  While a post-run
   /// hook is installed every probe is simulated anyway, and a makespan below
   /// the bound throws InternalError.
   [[nodiscard]] std::optional<Prediction> predict(const Move& move, Seconds cutoff);
 
-  /// Static lower bound on predict(move).makespan (DESIGN.md §12, "Makespan
+  /// Static lower bound on the makespan of predict(move, cutoff) (DESIGN.md §12, "Makespan
   /// lower bound"); nullopt when the moved plan deadlocks.  Validates the
   /// move like predict().
   [[nodiscard]] std::optional<Seconds> lower_bound(const Move& move);
@@ -193,7 +180,7 @@ class Predictor {
 [[nodiscard]] std::vector<dag::TaskId> schedule_critical_path(const SimResult& result);
 
 /// \name Post-run invariant hook
-/// A process-wide hook invoked after every Simulator::run* with the executed
+/// A process-wide hook invoked after every Simulator::run() with the executed
 /// schedule and its result.  check::install_auto_check() points it at the
 /// invariant checker (the CLOUDWF_CHECK=1 path); sim itself never depends on
 /// the checker.  The hook may throw (e.g. InternalError on a violation) —

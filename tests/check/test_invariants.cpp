@@ -46,9 +46,10 @@ void golden_family(pegasus::WorkflowType type) {
     const sim::Simulator simulator(wf, cloud);
 
     CheckOptions options;
-    if (sched::is_budget_aware(algorithm) && out.budget_feasible)
+    if (sched::scheduler_info(algorithm).needs_budget && out.budget_feasible)
       options.budget = levels.medium;
-    const sim::SimResult conservative = simulator.run_conservative(out.schedule);
+    const sim::SimResult conservative =
+        simulator.run(out.schedule, dag::conservative_weights(wf));
     const CheckReport deterministic = checker.check(out.schedule, conservative, options);
     EXPECT_TRUE(deterministic.ok())
         << algorithm << " on " << wf.name() << ":\n" << deterministic.text();
@@ -87,7 +88,7 @@ class CorruptedResult : public ::testing::Test {
     schedule_->assign(wf_.find_task("D"), vm0);
     schedule_->assign(wf_.find_task("C"), vm1);
     const sim::Simulator simulator(wf_, platform_);
-    result_ = simulator.run_mean(*schedule_);
+    result_ = simulator.run(*schedule_, dag::mean_weights(wf_));
     const InvariantChecker checker(wf_, platform_);
     ASSERT_TRUE(checker.check(*schedule_, result_).ok())
         << checker.check(*schedule_, result_).text();
@@ -242,7 +243,7 @@ TEST_F(CorruptedResult, LiveEventStreamSatisfiesContract) {
   obs::EventBus bus;
   bus.add_sink(&recorder);
   const sim::Simulator traced(wf_, platform_, &bus);
-  (void)traced.run_mean(*schedule_);
+  (void)traced.run(*schedule_, dag::mean_weights(wf_));
   ASSERT_FALSE(recorder.events.empty());
   const CheckReport report = check_events(recorder.events);
   EXPECT_TRUE(report.ok()) << report.text();
@@ -310,17 +311,6 @@ TEST(CheckEvents, DecisionIndexIsIndependentTimeline) {
 
 // ---- report plumbing --------------------------------------------------------
 
-TEST(Violation, CodeNamesRoundTrip) {
-  for (const InvariantCode code :
-       {InvariantCode::record_range, InvariantCode::precedence, InvariantCode::slot_overlap,
-        InvariantCode::boot_order, InvariantCode::event_order, InvariantCode::makespan_identity,
-        InvariantCode::cost_conservation, InvariantCode::budget_cap,
-        InvariantCode::transfer_conservation, InvariantCode::schedule_structure,
-        InvariantCode::artifact_format})
-    EXPECT_EQ(parse_invariant_code(to_string(code)), code);
-  EXPECT_THROW((void)parse_invariant_code("no_such_code"), InvalidArgument);
-}
-
 TEST(Violation, ReportJsonMatchesSchema) {
   CheckReport report;
   report.checks_run = 3;
@@ -362,7 +352,7 @@ TEST(AutoCheck, HookValidatesEveryRun) {
   // A healthy engine passes its own audit; the hook throwing here would be
   // an engine bug, which is exactly the point of CLOUDWF_CHECK=1.
   const sim::Simulator simulator(wf, cloud);
-  EXPECT_NO_THROW((void)simulator.run_mean(schedule));
+  EXPECT_NO_THROW((void)simulator.run(schedule, dag::mean_weights(wf)));
   uninstall_auto_check();
   EXPECT_FALSE(auto_check_installed());
 }

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/atomic_file.hpp"
 #include "common/error.hpp"
 
 namespace cloudwf {
@@ -34,7 +35,7 @@ TEST(Csv, EscapesSeparatorsQuotesNewlines) {
 TEST(Csv, IntegerFields) {
   std::ostringstream os;
   CsvWriter csv(os);
-  csv.field(static_cast<long long>(-7)).field(std::size_t{42}).field(3);
+  csv.field(-7).field(std::size_t{42}).field(3);
   csv.end_row();
   EXPECT_EQ(os.str(), "-7,42,3\n");
 }
@@ -96,20 +97,22 @@ TEST(Csv, RowsWrittenCounts) {
   EXPECT_EQ(csv.rows_written(), 2u);
 }
 
+// A CSV file on disk is a CsvWriter over an AtomicFile's stream.
 TEST(CsvFile, RejectsUnwritablePath) {
   // The temporary sibling cannot be created, so construction fails before
   // anything touches the destination path.
-  EXPECT_THROW(CsvFile("/nonexistent-dir/file.csv"), IoError);
+  EXPECT_THROW(AtomicFile("/nonexistent-dir/file.csv"), IoError);
 }
 
 TEST(CsvFile, PublishesAtomicallyOnCommit) {
   const std::string path = ::testing::TempDir() + "csvfile_atomic.csv";
   std::filesystem::remove(path);
   {
-    CsvFile file(path);
-    file.writer().header({"a", "b"});
-    file.writer().field("x").field(1.5);
-    file.writer().end_row();
+    AtomicFile file(path);
+    CsvWriter writer(file.stream());
+    writer.header({"a", "b"});
+    writer.field("x").field(1.5);
+    writer.end_row();
     // Not yet visible: content is still in the temporary sibling.
     EXPECT_FALSE(std::filesystem::exists(path));
     file.commit();

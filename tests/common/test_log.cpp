@@ -37,17 +37,17 @@ TEST_F(LogTest, ThresholdIsProgrammable) {
 TEST_F(LogTest, MessagesBelowThresholdAreSuppressed) {
   set_log_threshold(LogLevel::off);
   ::testing::internal::CaptureStderr();
-  log_error("must not appear");
-  log_warn("nor this");
+  log_message(LogLevel::error, "", "must not appear");
+  log_message(LogLevel::warn, "", "nor this");
   EXPECT_TRUE(::testing::internal::GetCapturedStderr().empty());
 }
 
 TEST_F(LogTest, MessagesAtOrAboveThresholdAreEmitted) {
   set_log_threshold(LogLevel::info);
   ::testing::internal::CaptureStderr();
-  log_debug("hidden");
-  log_info("shown ", 42);
-  log_error("also shown");
+  log_message(LogLevel::debug, "", "hidden");
+  log_info_c("", "shown ", 42);
+  log_message(LogLevel::error, "", "also shown");
   const std::string captured = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(captured.find("hidden"), std::string::npos);
   EXPECT_NE(captured.find("shown 42"), std::string::npos);
@@ -59,7 +59,7 @@ TEST_F(LogTest, MessagesAtOrAboveThresholdAreEmitted) {
 TEST_F(LogTest, FormattingConcatenatesArguments) {
   set_log_threshold(LogLevel::debug);
   ::testing::internal::CaptureStderr();
-  log_debug("x=", 1.5, " y=", "z");
+  log_info_c("", "x=", 1.5, " y=", "z");
   EXPECT_NE(::testing::internal::GetCapturedStderr().find("x=1.5 y=z"), std::string::npos);
 }
 
@@ -86,7 +86,7 @@ TEST_F(LogTest, JsonModeEmitsOneParsableObjectPerLine) {
   set_log_json(true);
   ::testing::internal::CaptureStderr();
   log_info_c("runner", "first record");
-  log_warn("plain \"quoted\" message\nwith newline");
+  log_message(LogLevel::warn, "", "plain \"quoted\" message\nwith newline");
   const std::vector<std::string> lines =
       lines_of(::testing::internal::GetCapturedStderr());
   ASSERT_EQ(lines.size(), 2u);
@@ -112,8 +112,8 @@ TEST_F(LogTest, JsonModeHonoursTheThreshold) {
   set_log_threshold(LogLevel::error);
   set_log_json(true);
   ::testing::internal::CaptureStderr();
-  log_info("suppressed");
-  log_error("kept");
+  log_info_c("", "suppressed");
+  log_message(LogLevel::error, "", "kept");
   const std::vector<std::string> lines =
       lines_of(::testing::internal::GetCapturedStderr());
   ASSERT_EQ(lines.size(), 1u);

@@ -76,7 +76,7 @@ TEST(Dax, ImportedWorkflowIsFrozenAndSchedulable) {
   EXPECT_TRUE(wf.frozen());
   EXPECT_EQ(wf.topological_order().size(), 3u);
   EXPECT_EQ(wf.entry_tasks().size(), 2u);
-  EXPECT_EQ(wf.exit_tasks().size(), 1u);
+  EXPECT_EQ(testing::exit_tasks(wf).size(), 1u);
 }
 
 TEST(Dax, ZeroRuntimeClampsToMinWeight) {

@@ -24,9 +24,9 @@ TEST(Workflow, BuildAndFreeze) {
 TEST(Workflow, EntryAndExitTasks) {
   const Workflow wf = testing::diamond();
   ASSERT_EQ(wf.entry_tasks().size(), 1u);
-  ASSERT_EQ(wf.exit_tasks().size(), 1u);
+  ASSERT_EQ(testing::exit_tasks(wf).size(), 1u);
   EXPECT_EQ(wf.task(wf.entry_tasks()[0]).name, "A");
-  EXPECT_EQ(wf.task(wf.exit_tasks()[0]).name, "D");
+  EXPECT_EQ(wf.task(testing::exit_tasks(wf)[0]).name, "D");
 }
 
 TEST(Workflow, TopologicalOrderRespectsEdges) {

@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "dag/analysis.hpp"
+#include "testing/helpers.hpp"
 
 namespace cloudwf::pegasus {
 namespace {
@@ -108,8 +109,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Cybershake, TwoAgglomerativeSinks) {
   const dag::Workflow wf = generate_cybershake({30, 1, 0.5});
-  EXPECT_EQ(wf.exit_tasks().size(), 2u);  // ZipSeis + ZipPSA
-  for (const dag::TaskId t : wf.exit_tasks()) {
+  EXPECT_EQ(testing::exit_tasks(wf).size(), 2u);  // ZipSeis + ZipPSA
+  for (const dag::TaskId t : testing::exit_tasks(wf)) {
     EXPECT_GT(wf.in_edges(t).size(), 1u);
     EXPECT_GT(wf.external_output_of(t), 0.0);
   }
@@ -196,10 +197,10 @@ TEST(Montage, DenseInterconnection) {
 
 TEST(Montage, AssemblyTailIsSequential) {
   const dag::Workflow wf = generate_montage({60, 4, 0.5});
-  ASSERT_EQ(wf.exit_tasks().size(), 1u);
-  EXPECT_EQ(wf.task(wf.exit_tasks()[0]).type, "mJPEG");
+  ASSERT_EQ(testing::exit_tasks(wf).size(), 1u);
+  EXPECT_EQ(wf.task(testing::exit_tasks(wf)[0]).type, "mJPEG");
   // mJPEG <- mShrink <- mAdd chain.
-  const dag::TaskId jpeg = wf.exit_tasks()[0];
+  const dag::TaskId jpeg = testing::exit_tasks(wf)[0];
   ASSERT_EQ(wf.in_edges(jpeg).size(), 1u);
   EXPECT_EQ(wf.task(wf.edge(wf.in_edges(jpeg)[0]).src).type, "mShrink");
 }
@@ -259,8 +260,8 @@ TEST(Epigenomics, PipelineDominatedShape) {
   const auto groups = dag::tasks_by_level(wf);
   // split -> 4 pipeline stages -> merge -> maqindex -> pileup = 8 levels.
   EXPECT_EQ(groups.size(), 8u);
-  ASSERT_EQ(wf.exit_tasks().size(), 1u);
-  EXPECT_EQ(wf.task(wf.exit_tasks()[0]).type, "pileup");
+  ASSERT_EQ(testing::exit_tasks(wf).size(), 1u);
+  EXPECT_EQ(wf.task(testing::exit_tasks(wf)[0]).type, "pileup");
 }
 
 TEST(Epigenomics, LanesAreIndependentUntilIndex) {

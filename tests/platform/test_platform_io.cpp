@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "common/error.hpp"
 #include "platform/pricing.hpp"
@@ -76,7 +77,7 @@ TEST(PlatformIo, MissingCategoriesRejected) {
 TEST(PlatformIo, SaveAndLoadFile) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "cloudwf_platform.json").string();
-  save_json(paper_platform(), path);
+  std::ofstream(path) << to_json(paper_platform()) << '\n';
   const Platform back = load_json(path);
   EXPECT_EQ(back.category_count(), 3u);
   std::remove(path.c_str());

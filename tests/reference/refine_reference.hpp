@@ -6,7 +6,7 @@
 /// These are the differential oracles of the optimized loops in
 /// sched/refine.cpp (Algorithm 5) and sched/cg.cpp (CG+): every candidate
 /// move deep-copies the schedule, applies the move and runs the full
-/// Simulator::run_conservative().  They stay deliberately naive — the
+/// Simulator::run() with conservative weights.  They stay deliberately naive — the
 /// optimized code must reproduce their schedules bit for bit.
 
 #include <span>
@@ -25,7 +25,7 @@ inline std::size_t refine_by_resimulation(const sched::SchedulerInput& input,
                                           std::span<const dag::TaskId> order) {
   require(order.size() == input.wf.task_count(), "reference: order must cover every task");
   const sim::Simulator simulator(input.wf, input.platform);
-  Seconds best_makespan = simulator.run_conservative(schedule).makespan;
+  Seconds best_makespan = simulator.run(schedule, dag::conservative_weights(input.wf)).makespan;
   std::size_t applied = 0;
 
   for (const dag::TaskId task : order) {
@@ -37,7 +37,7 @@ inline std::size_t refine_by_resimulation(const sched::SchedulerInput& input,
     const auto try_candidate = [&](sim::Schedule tentative, sim::VmId vm, bool fresh,
                                    platform::CategoryId category) {
       tentative.move(task, vm);
-      const sim::SimResult result = simulator.run_conservative(tentative);
+      const sim::SimResult result = simulator.run(tentative, dag::conservative_weights(input.wf));
       if (result.makespan < best_makespan &&
           result.total_cost() <= input.budget + money_epsilon) {
         best_makespan = result.makespan;
@@ -77,7 +77,7 @@ inline void cg_plus_refine(const sched::SchedulerInput& input, sim::Schedule& sc
   const dag::Workflow& wf = input.wf;
   const platform::Platform& platform = input.platform;
   const sim::Simulator simulator(wf, platform);
-  sim::SimResult current = simulator.run_conservative(schedule);
+  sim::SimResult current = simulator.run(schedule, dag::conservative_weights(wf));
   const std::size_t max_iterations = 3 * wf.task_count();
 
   for (std::size_t iter = 0; iter < max_iterations; ++iter) {
@@ -92,7 +92,7 @@ inline void cg_plus_refine(const sched::SchedulerInput& input, sim::Schedule& sc
     const auto consider = [&](dag::TaskId task, sim::Schedule tentative, sim::VmId vm,
                               bool fresh, platform::CategoryId category) {
       tentative.move(task, vm);
-      const sim::SimResult result = simulator.run_conservative(tentative);
+      const sim::SimResult result = simulator.run(tentative, dag::conservative_weights(wf));
       const Seconds dt = current.makespan - result.makespan;
       const Dollars dc = result.total_cost() - current.total_cost();
       if (dt <= time_epsilon || dc <= money_epsilon) return;
@@ -127,7 +127,7 @@ inline void cg_plus_refine(const sched::SchedulerInput& input, sim::Schedule& sc
     } else {
       schedule.move(best_task, best_vm);
     }
-    current = simulator.run_conservative(schedule);
+    current = simulator.run(schedule, dag::conservative_weights(wf));
   }
 }
 

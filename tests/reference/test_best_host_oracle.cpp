@@ -18,6 +18,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
@@ -36,6 +37,7 @@
 #include "sched/eft.hpp"
 #include "sched/heft.hpp"
 #include "sim/schedule_io.hpp"
+#include "testing/helpers.hpp"
 
 namespace cloudwf {
 namespace {
@@ -48,6 +50,16 @@ struct Case {
   std::uint64_t seed;
   PlatformKind kind;
 };
+
+void PrintTo(const Case& c, std::ostream* os) {
+  Case zeroed;
+  std::memset(&zeroed, 0, sizeof zeroed);  // the padding too
+  zeroed.type = c.type;
+  zeroed.tasks = c.tasks;
+  zeroed.seed = c.seed;
+  zeroed.kind = c.kind;
+  testing::print_bytes(zeroed, os);
+}
 
 platform::Platform make_platform(PlatformKind kind) {
   switch (kind) {

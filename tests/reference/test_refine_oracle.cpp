@@ -6,7 +6,7 @@
 /// low, medium and high budget levels, on the paper platform, a platform
 /// with datacenter contention and one with a multi-processor category.
 /// Schedules must match bit for bit and sim::Predictor must equal
-/// Simulator::run_conservative() exactly.  The invariant checker audits
+/// a conservative Simulator::run() exactly.  The invariant checker audits
 /// every simulation, as with CLOUDWF_CHECK=1; checked mode simulates every
 /// probe, so the loops run a second time with the checker off, where the
 /// makespan lower bound skips the probes it proves rejected.  A property
@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <variant>
@@ -32,9 +34,13 @@
 #include "sched/minmin.hpp"
 #include "sched/refine.hpp"
 #include "sim/schedule_io.hpp"
+#include "testing/helpers.hpp"
 
 namespace cloudwf {
 namespace {
+
+/// A cutoff no makespan reaches: the probe is always simulated.
+constexpr Seconds never = std::numeric_limits<Seconds>::infinity();
 
 enum class PlatformKind { paper, contention, multiproc };
 
@@ -44,6 +50,16 @@ struct Case {
   std::uint64_t seed;
   PlatformKind kind;
 };
+
+void PrintTo(const Case& c, std::ostream* os) {
+  Case zeroed;
+  std::memset(&zeroed, 0, sizeof zeroed);  // the padding too
+  zeroed.type = c.type;
+  zeroed.tasks = c.tasks;
+  zeroed.seed = c.seed;
+  zeroed.kind = c.kind;
+  testing::print_bytes(zeroed, os);
+}
 
 platform::Platform make_platform(PlatformKind kind) {
   switch (kind) {
@@ -155,7 +171,7 @@ void RefineOracle::expect_cg_plus_matches() {
     sim::Schedule slow = sched::CgScheduler(false).schedule(input).schedule;
     reference::cg_plus_refine(input, slow);
     const sim::Schedule expected = slow.compacted();
-    const sim::SimResult prediction = simulator.run_conservative(expected);
+    const sim::SimResult prediction = simulator.run(expected, dag::conservative_weights(wf_));
 
     const sched::SchedulerOutput plus = sched::CgScheduler(true).schedule(input);
     EXPECT_EQ(dump(plus.schedule, wf_), dump(expected, wf_)) << "budget " << budget;
@@ -182,7 +198,7 @@ TEST_P(RefineOracle, PredictorEqualsRunConservativeOverRandomMoves) {
   const sim::Schedule start = sched::HeftScheduler::run_list_pass(input, true, order);
 
   const auto conservative = [&](const sim::Schedule& schedule) {
-    const sim::SimResult r = simulator.run_conservative(schedule);
+    const sim::SimResult r = simulator.run(schedule, dag::conservative_weights(wf_));
     return sim::Prediction{r.makespan, r.total_cost()};
   };
   // The checked path (full SimResult handed to the hook) and the fast path
@@ -207,7 +223,7 @@ TEST_P(RefineOracle, PredictorEqualsRunConservativeOverRandomMoves) {
       const sim::Move move = moves[rng.below(moves.size())];
       sim::Schedule tentative = schedule;
       tentative.apply(move);
-      expect_same(outcome_of([&] { return predictor.predict(move); }),
+      expect_same(outcome_of([&] { return *predictor.predict(move, never); }),
                   outcome_of([&] { return conservative(tentative); }));
       if (HasFailure()) return;
       if (rng.below(3) == 0) {
@@ -219,7 +235,7 @@ TEST_P(RefineOracle, PredictorEqualsRunConservativeOverRandomMoves) {
 }
 
 /// The bound must hold on every plan the loops can probe, so this suite
-/// reaches 300 tasks; it compares against run_conservative() directly.
+/// reaches 300 tasks; it compares against a conservative Simulator::run().
 class BoundProperty : public RefineOracle {};
 
 TEST_P(BoundProperty, LowerBoundNeverExceedsConservativeMakespan) {
@@ -240,7 +256,7 @@ TEST_P(BoundProperty, LowerBoundNeverExceedsConservativeMakespan) {
       const sim::Move move = moves[rng.below(moves.size())];
       sim::Schedule tentative = schedule;
       tentative.apply(move);
-      const Seconds makespan = simulator.run_conservative(tentative).makespan;
+      const Seconds makespan = simulator.run(tentative, dag::conservative_weights(wf_)).makespan;
       const std::optional<Seconds> bound = predictor.lower_bound(move);
       // Priority-ordered lists never deadlock, so a bound always exists.
       ASSERT_TRUE(bound.has_value()) << "budget " << budget << " step " << step;

@@ -51,7 +51,8 @@ TEST_P(AlgorithmTest, PredictionMatchesConservativeSimulation) {
   const auto wf = make_workflow(type());
   const auto platform = platform::paper_platform();
   const SchedulerOutput out = make_scheduler(algorithm())->schedule({wf, platform, 5.0});
-  const sim::SimResult check = sim::Simulator(wf, platform).run_conservative(out.schedule);
+  const sim::SimResult check =
+      sim::Simulator(wf, platform).run(out.schedule, dag::conservative_weights(wf));
   EXPECT_NEAR(out.predicted_makespan, check.makespan, 1e-6);
   EXPECT_NEAR(out.predicted_cost, check.total_cost(), 1e-9);
 }
@@ -82,7 +83,8 @@ TEST_P(AlgorithmTest, ExecutionRespectsDependencies) {
   const auto wf = make_workflow(type());
   const auto platform = platform::paper_platform();
   const SchedulerOutput out = make_scheduler(algorithm())->schedule({wf, platform, 5.0});
-  const sim::SimResult run = sim::Simulator(wf, platform).run_conservative(out.schedule);
+  const sim::SimResult run =
+      sim::Simulator(wf, platform).run(out.schedule, dag::conservative_weights(wf));
   for (const dag::Edge& e : wf.edges())
     EXPECT_LE(run.tasks[e.src].finish, run.tasks[e.dst].start + 1e-9)
         << wf.task(e.src).name << " -> " << wf.task(e.dst).name;
@@ -160,12 +162,12 @@ TEST(Registry, UnknownNameRejected) {
 }
 
 TEST(Registry, BudgetAwarenessFlags) {
-  EXPECT_FALSE(is_budget_aware("minmin"));
-  EXPECT_FALSE(is_budget_aware("heft"));
-  EXPECT_TRUE(is_budget_aware("heft-budg"));
-  EXPECT_TRUE(is_budget_aware("minmin-budg-plus"));
-  EXPECT_TRUE(is_budget_aware("bdt"));
-  EXPECT_TRUE(is_budget_aware("cg-plus"));
+  EXPECT_FALSE(scheduler_info("minmin").needs_budget);
+  EXPECT_FALSE(scheduler_info("heft").needs_budget);
+  EXPECT_TRUE(scheduler_info("heft-budg").needs_budget);
+  EXPECT_TRUE(scheduler_info("minmin-budg-plus").needs_budget);
+  EXPECT_TRUE(scheduler_info("bdt").needs_budget);
+  EXPECT_TRUE(scheduler_info("cg-plus").needs_budget);
 }
 
 TEST(Registry, CapabilityRecordsMatchNameOrder) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -23,6 +24,15 @@ struct Case {
   std::size_t tasks;
   std::uint64_t seed;
 };
+
+void PrintTo(const Case& c, std::ostream* os) {
+  Case zeroed;
+  std::memset(&zeroed, 0, sizeof zeroed);  // the padding too
+  zeroed.type = c.type;
+  zeroed.tasks = c.tasks;
+  zeroed.seed = c.seed;
+  testing::print_bytes(zeroed, os);
+}
 
 class RefinementTest : public ::testing::TestWithParam<Case> {
  protected:

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <vector>
 
@@ -130,7 +131,7 @@ TEST(AllocFree, PredictorProbesAllocateNothingAfterTheFirst) {
   for (const sim::Move& move : moves) {
     // A full probe, then one the makespan lower bound may skip.
     const std::size_t count = allocations_during([&] {
-      sink += predictor.predict(move).cost;
+      sink += predictor.predict(move, std::numeric_limits<Seconds>::infinity())->cost;
       if (const auto result = predictor.predict(move, base)) sink += result->cost;
     });
     EXPECT_EQ(count, 0u) << "task " << move.task << " -> vm " << move.vm

@@ -181,18 +181,20 @@ TEST(SimulatorArena, MixedSequenceMatchesFreshSimulators) {
     expect_same(shared.run(f.single, w2), fresh().run(f.single, w2));
     for (std::uint64_t rep = 0; rep < 3; ++rep) {
       const FaultModel model = faults.for_repetition(rep);
-      const SimResult got = shared.run_with_faults(f.spread, w2, model);
-      expect_same(got, fresh().run_with_faults(f.spread, w2, model));
+      const SimResult got = shared.run(f.spread, w2, {.faults = model});
+      expect_same(got, fresh().run(f.spread, w2, {.faults = model}));
       recovered += got.vms.size() - f.spread.vm_count();
     }
     // A run that throws half-way leaves nothing behind for the next one.
     EXPECT_THROW((void)shared.run(stuck, w1), ValidationError);
-    const SimResult moved = shared.run_online(f.single, w1, online);
-    expect_same(moved, fresh().run_online(f.single, w1, online));
+    const SimResult moved = shared.run(f.single, w1, {.online = online});
+    expect_same(moved, fresh().run(f.single, w1, {.online = online}));
     migrations += moved.migrations;
-    expect_same(shared.run_conservative(f.single), fresh().run_conservative(f.single));
-    expect_same(shared.run_conservative(f.spread), fresh().run_conservative(f.spread));
-    expect_same(shared.run_mean(f.spread), fresh().run_mean(f.spread));
+    const dag::WeightRealization conservative = dag::conservative_weights(f.wf);
+    const dag::WeightRealization mean = dag::mean_weights(f.wf);
+    expect_same(shared.run(f.single, conservative), fresh().run(f.single, conservative));
+    expect_same(shared.run(f.spread, conservative), fresh().run(f.spread, conservative));
+    expect_same(shared.run(f.spread, mean), fresh().run(f.spread, mean));
   }
   // The sequence did exercise the plan-growing paths.
   EXPECT_GT(migrations, 0u);
@@ -228,6 +230,34 @@ TEST(SimulatorArena, BusAttachedRunsMatchFreshSimulators) {
   check(f.single, w2);
   check(f.spread, w2);
   expect_same(quiet, Simulator(f.wf, f.platform).run(f.spread, w1));
+}
+
+TEST(RunOptions, DisabledFaultModelIsBitIdenticalToDefaultRun) {
+  const Fixture f;
+  const dag::WeightRealization weights = f.draw(3);
+  // A disabled model's seed and delay, and the recovery bounds, go unread.
+  RunOptions options;
+  options.faults.seed = 99;
+  options.faults.acquisition_delay = 5.0;
+  options.recovery.max_boot_attempts = 1;
+  options.recovery.budget_cap = 0.0;
+  ASSERT_FALSE(options.faults.enabled());
+  const Simulator simulator(f.wf, f.platform);
+  expect_same(simulator.run(f.spread, weights, options), simulator.run(f.spread, weights));
+  expect_same(Simulator(f.wf, f.platform).run(f.spread, weights, options),
+              Simulator(f.wf, f.platform).run(f.spread, weights));
+}
+
+TEST(RunOptions, OnlineWithEnabledFaultsThrows) {
+  const Fixture f;
+  RunOptions options;
+  options.online.emplace();
+  options.faults.lambda_crash = 1.0;
+  EXPECT_THROW(options.validate(), InvalidArgument);
+  EXPECT_THROW((void)Simulator(f.wf, f.platform).run(f.spread, f.draw(1), options),
+               InvalidArgument);
+  options.faults.lambda_crash = 0.0;  // a disabled model adds no fault layer
+  EXPECT_NO_THROW(options.validate());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 /// \file test_faults.cpp
 /// \brief Tests of fault injection and budget-aware recovery (sim/faults +
-/// Simulator::run_with_faults).
+/// Simulator::run with RunOptions::faults).
 ///
 /// All injected draws are deterministic: the engine's FaultInjector consumes
 /// the same seeded streams a test-local "oracle" injector does, so crash
@@ -125,7 +125,7 @@ TEST(Faults, DisabledModelMatchesPlainRunBitForBit) {
 
   const Simulator sim(wf, platform);
   const SimResult plain = sim.run(out.schedule, weights);
-  const SimResult faulty = sim.run_with_faults(out.schedule, weights, FaultModel{});
+  const SimResult faulty = sim.run(out.schedule, weights, {.faults = FaultModel{}});
 
   EXPECT_DOUBLE_EQ(plain.makespan, faulty.makespan);
   EXPECT_DOUBLE_EQ(plain.total_cost(), faulty.total_cost());
@@ -156,7 +156,7 @@ TEST(Faults, BootFailureRetriesAfterAcquisitionDelay) {
   }
 
   const SimResult r =
-      Simulator(wf, platform).run_with_faults(schedule, dag::WeightRealization({100.0}), model);
+      Simulator(wf, platform).run(schedule, dag::WeightRealization({100.0}), {.faults = model});
 
   // Boot requested at 0, comes up (failed) at 10, retries at 10 + 60 + 10 =
   // 80; the task then runs 80..180.
@@ -181,8 +181,8 @@ TEST(Faults, BootAttemptsExhaustedFailsTheWholePlacement) {
   recovery.max_boot_attempts = 2;
 
   const SimResult r = Simulator(wf, platform)
-                          .run_with_faults(schedule, dag::WeightRealization({100, 200, 400}),
-                                           model, recovery);
+                          .run(schedule, dag::WeightRealization({100, 200, 400}),
+                               {.faults = model, .recovery = recovery});
 
   EXPECT_EQ(r.faults.boot_failures, 2u);
   EXPECT_EQ(r.vms[0].boot_attempts, 2u);
@@ -211,8 +211,8 @@ TEST(Faults, TransferFailuresRetryWithExponentialBackoff) {
   }
 
   const SimResult r = Simulator(wf, platform)
-                          .run_with_faults(schedule,
-                                           dag::WeightRealization({100, 200, 300, 100}), model);
+                          .run(schedule, dag::WeightRealization({100, 200, 300, 100}),
+                               {.faults = model});
 
   // Input: [10,14] fails, backoff 1 s, [15,19] delivers.  Compute chain
   // A 19..119, B 119..319, C 319..619, D 619..719.  Output: [719,721] fails,
@@ -237,9 +237,8 @@ TEST(Faults, TransferRetriesExhaustedFailDownstreamTasks) {
   recovery.max_transfer_retries = 2;
 
   const SimResult r = Simulator(wf, platform)
-                          .run_with_faults(schedule,
-                                           dag::WeightRealization({100, 200, 300, 100}), model,
-                                           recovery);
+                          .run(schedule, dag::WeightRealization({100, 200, 300, 100}),
+                               {.faults = model, .recovery = recovery});
 
   // The external input of A is attempted 1 + 2 times, aborts, and the
   // failure cascades through the whole diamond.
@@ -265,7 +264,7 @@ TEST(Faults, CrashProvisionsReplacementVmExactTimeline) {
   ASSERT_GT(c2, 900.0);
 
   const SimResult r =
-      Simulator(wf, platform).run_with_faults(schedule, dag::WeightRealization({900.0}), model);
+      Simulator(wf, platform).run(schedule, dag::WeightRealization({900.0}), {.faults = model});
 
   const Seconds crash_time = 10.0 + c1;        // boot 10, crash c1 later
   const Seconds restart = crash_time + 10.0;   // replacement boots immediately
@@ -308,8 +307,8 @@ TEST(Faults, CrashRetriesExhaustedFailTheTask) {
   recovery.max_task_retries = 1;
 
   const SimResult r = Simulator(wf, platform)
-                          .run_with_faults(schedule, dag::WeightRealization({1000.0}), model,
-                                           recovery);
+                          .run(schedule, dag::WeightRealization({1000.0}),
+                               {.faults = model, .recovery = recovery});
 
   EXPECT_EQ(r.faults.crashes, 2u);
   EXPECT_EQ(r.faults.task_reexecutions, 2u);
@@ -351,7 +350,8 @@ TEST(Faults, BudgetCapDegradesOntoSurvivingVm) {
   recovery.budget_cap = 0.6;  // below the already-committed spend: always degrade
 
   const SimResult r =
-      Simulator(s.wf, platform).run_with_faults(s.schedule, s.weights, s.model, recovery);
+      Simulator(s.wf, platform)
+          .run(s.schedule, s.weights, {.faults = s.model, .recovery = recovery});
 
   const Seconds crash_time = 10.0 + s.c_vm0;
   EXPECT_EQ(r.faults.crashes, 1u);
@@ -374,7 +374,7 @@ TEST(Faults, UncappedRecoveryProvisionsFreshVm) {
   ASSERT_GT(s.c_vm2, 210.0);  // the replacement VM survives the re-run
   const auto platform = testing::mono_platform();
 
-  const SimResult r = Simulator(s.wf, platform).run_with_faults(s.schedule, s.weights, s.model);
+  const SimResult r = Simulator(s.wf, platform).run(s.schedule, s.weights, {.faults = s.model});
 
   const Seconds crash_time = 10.0 + s.c_vm0;
   const Seconds restart = crash_time + 10.0;
@@ -402,8 +402,8 @@ TEST(Faults, SameSeedGivesBitIdenticalResults) {
   model.p_boot_fail = 0.1;
 
   const Simulator sim(wf, platform);
-  const SimResult a = sim.run_with_faults(out.schedule, weights, model);
-  const SimResult b = sim.run_with_faults(out.schedule, weights, model);
+  const SimResult a = sim.run(out.schedule, weights, {.faults = model});
+  const SimResult b = sim.run(out.schedule, weights, {.faults = model});
 
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
   EXPECT_DOUBLE_EQ(a.total_cost(), b.total_cost());
@@ -429,14 +429,14 @@ TEST(Faults, InvalidModelRejectedAtRunTime) {
   FaultModel bad;
   bad.p_boot_fail = 1.5;
   EXPECT_THROW(
-      (void)sim.run_with_faults(schedule, dag::WeightRealization({100.0}), bad),
+      (void)sim.run(schedule, dag::WeightRealization({100.0}), {.faults = bad}),
       InvalidArgument);
   FaultModel fine;
   fine.lambda_crash = 1.0;
   RecoveryPolicy bad_recovery;
   bad_recovery.max_boot_attempts = 0;
-  EXPECT_THROW((void)sim.run_with_faults(schedule, dag::WeightRealization({100.0}), fine,
-                                         bad_recovery),
+  EXPECT_THROW((void)sim.run(schedule, dag::WeightRealization({100.0}),
+                             {.faults = fine, .recovery = bad_recovery}),
                InvalidArgument);
 }
 

@@ -33,7 +33,7 @@ TEST(Simulator, ChainOnSingleVmTimesExactly) {
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
 
   const Simulator sim(wf, platform);
-  const SimResult r = sim.run_mean(s);
+  const SimResult r = sim.run(s, dag::mean_weights(wf));
 
   // boot 0..10, A 10..110, B 110..310, C 310..710; no transfers.
   EXPECT_DOUBLE_EQ(r.tasks[0].start, 10.0);
@@ -72,7 +72,7 @@ TEST(Simulator, DiamondAcrossTwoVmsTimesExactly) {
   s.assign(c, vm1);
 
   const Simulator sim(wf, platform);
-  const SimResult r = sim.run_mean(s);
+  const SimResult r = sim.run(s, dag::mean_weights(wf));
 
   // vm0: boot 0..10; ext-input download 10..14; A 14..114.
   EXPECT_DOUBLE_EQ(r.tasks[a].start, 14.0);
@@ -116,7 +116,7 @@ TEST(Simulator, SameVmDataIsFree) {
   const VmId vm = s.add_vm(1);  // everything on one fast VM
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
   const Simulator sim(wf, platform);
-  const SimResult r = sim.run_mean(s);
+  const SimResult r = sim.run(s, dag::mean_weights(wf));
   // Only the external input (4 s) and output (2 s) are transferred.
   EXPECT_EQ(r.transfers.count, 2u);
   EXPECT_DOUBLE_EQ(r.transfers.bytes, 6e6);
@@ -151,8 +151,8 @@ TEST(Simulator, ConservativeRunUsesMuPlusSigma) {
   const VmId vm = s.add_vm(0);
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
   const Simulator sim(wf, platform);
-  const SimResult mean = sim.run_mean(s);
-  const SimResult conservative = sim.run_conservative(s);
+  const SimResult mean = sim.run(s, dag::mean_weights(wf));
+  const SimResult conservative = sim.run(s, dag::conservative_weights(wf));
   // Compute doubles (700 -> 1400); transfers unchanged.
   EXPECT_DOUBLE_EQ(conservative.makespan - mean.makespan, 700.0);
 }
@@ -167,7 +167,7 @@ TEST(Simulator, ListOrderGatesExecution) {
   s.assign(0, vm);
   s.assign(1, vm);
   const Simulator sim(wf, platform);
-  const SimResult r = sim.run_mean(s);
+  const SimResult r = sim.run(s, dag::mean_weights(wf));
   EXPECT_DOUBLE_EQ(r.tasks[1].start, 10.0);
   EXPECT_DOUBLE_EQ(r.tasks[0].start, 110.0);
 }
@@ -196,7 +196,7 @@ TEST(Simulator, CrossVmDeadlockDetected) {
   s.assign(t4, vm1);
 
   const Simulator sim(wf, platform);
-  EXPECT_THROW((void)sim.run_mean(s), ValidationError);
+  EXPECT_THROW((void)sim.run(s, dag::mean_weights(wf)), ValidationError);
 }
 
 TEST(Simulator, DcContentionSlowsConcurrentUploads) {
@@ -217,7 +217,7 @@ TEST(Simulator, DcContentionSlowsConcurrentUploads) {
   };
 
   const auto uncontended = testing::toy_platform();
-  const SimResult free_run = Simulator(wf, uncontended).run_mean(make_schedule());
+  const SimResult free_run = Simulator(wf, uncontended).run(make_schedule(), dag::mean_weights(wf));
 
   const auto contended = platform::PlatformBuilder("tight")
                              .add_category({"slow", 1.0, 1.0, 0.5, 1})
@@ -225,7 +225,7 @@ TEST(Simulator, DcContentionSlowsConcurrentUploads) {
                              .bandwidth(1e6)
                              .dc_aggregate_bandwidth(1e6)  // one link's worth
                              .build();
-  const SimResult tight_run = Simulator(wf, contended).run_mean(make_schedule());
+  const SimResult tight_run = Simulator(wf, contended).run(make_schedule(), dag::mean_weights(wf));
 
   // Uploads A->C and B->C overlap: at half rate each they take 2 s instead
   // of 1 s, delaying C by exactly one second.
@@ -241,7 +241,7 @@ TEST(Simulator, EmptyVmsAreIgnoredAndFree) {
   (void)s.add_vm(1);  // never used
   s.assign(0, used);
   s.assign(1, used);
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
   EXPECT_EQ(r.used_vms, 1u);
   EXPECT_DOUBLE_EQ(r.cost.vm_setup, 0.5);  // only the used VM's setup
 }
@@ -266,7 +266,7 @@ TEST(Simulator, MakespanAtLeastCriticalPathWork) {
     for (TaskId t : wf.topological_order())
       s.assign(t, layout == 0 ? (s.vm_count() ? 0 : s.add_vm(1))
                               : s.add_vm(static_cast<platform::CategoryId>(layout - 1)));
-    const SimResult r = Simulator(wf, platform).run_mean(s);
+    const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
     // CP work: A + C + D = 500 instructions at speed 2 minimum.
     EXPECT_GE(r.makespan, 500.0 / 2.0);
   }
@@ -278,7 +278,7 @@ TEST(Simulator, CriticalPathEndsAtLastTask) {
   Schedule s(4);
   const VmId vm = s.add_vm(0);
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
   const auto path = schedule_critical_path(r);
   ASSERT_FALSE(path.empty());
   EXPECT_EQ(path.back(), wf.find_task("D"));
@@ -293,7 +293,7 @@ TEST(Simulator, TraceExportsAreWellFormed) {
   Schedule s(4);
   const VmId vm = s.add_vm(0);
   for (TaskId t : wf.topological_order()) s.assign(t, vm);
-  const SimResult r = Simulator(wf, platform).run_mean(s);
+  const SimResult r = Simulator(wf, platform).run(s, dag::mean_weights(wf));
 
   std::ostringstream tasks_csv;
   write_task_trace_csv(wf, r, tasks_csv);
@@ -345,7 +345,8 @@ TEST(PredictorBound, TightWhenNothingQueues) {
   ASSERT_TRUE(bound.has_value());
   Schedule moved = s;
   moved.apply(move);
-  const Seconds makespan = Simulator(wf, platform).run_conservative(moved).makespan;
+  const Seconds makespan =
+      Simulator(wf, platform).run(moved, dag::conservative_weights(wf)).makespan;
   EXPECT_DOUBLE_EQ(makespan, 724.0);
   EXPECT_LE(*bound, makespan);
   EXPECT_NEAR(*bound, makespan, 1e-7);  // only the early-completion slack

@@ -3,9 +3,13 @@
 /// \file helpers.hpp
 /// \brief Shared fixtures for the cloudwf test suite.
 
+#include <gtest/gtest.h>
+
 #include <exception>
+#include <ostream>
 #include <string>
 #include <typeinfo>
+#include <vector>
 
 #include "common/units.hpp"
 #include "dag/workflow.hpp"
@@ -25,6 +29,24 @@ std::string exact_error(Body&& body) {
     return std::string("unexpected exception type: ") + typeid(error).name();
   }
   return "no exception";
+}
+
+/// Prints \p value as gtest does by default: "N-byte object <XX-XX ...>".
+/// The PrintTo overloads of parameter structs pass a copy whose padding they
+/// zeroed, so registered test names keep their form but no longer embed
+/// uninitialised bytes that change from build to build.
+template <class T>
+void print_bytes(const T& value, std::ostream* os) {
+  ::testing::internal::PrintBytesInObjectTo(reinterpret_cast<const unsigned char*>(&value),
+                                            sizeof value, os);
+}
+
+/// The tasks of frozen \p wf with no successor, in id order.
+inline std::vector<dag::TaskId> exit_tasks(const dag::Workflow& wf) {
+  std::vector<dag::TaskId> exits;
+  for (dag::TaskId t = 0; t < wf.task_count(); ++t)
+    if (wf.out_edges(t).empty()) exits.push_back(t);
+  return exits;
 }
 
 /// A diamond DAG:  A -> {B, C} -> D, with easy round numbers.

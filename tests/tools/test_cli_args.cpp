@@ -70,6 +70,37 @@ TEST(CliArgs, GetListDefaultAndEmptyEntries) {
   EXPECT_EQ(trailing.get_list("algorithms", "").size(), 2u);  // empties dropped
 }
 
+TEST(CliArgs, UnknownFlagRejected) {
+  const Args args = parse({"schedule", "wf.json", "--budgte", "3"});
+  EXPECT_THROW(args.require_known({"budget", "algorithm"}), InvalidArgument);
+  EXPECT_NO_THROW(parse({"schedule", "--budget", "3"}).require_known({"budget"}));
+}
+
+TEST(CliArgs, FlagsListsEveryGivenFlag) {
+  const Args args = parse({"simulate", "--online", "--fault-seed", "3"}, {"online"});
+  EXPECT_EQ(args.flags(), (std::set<std::string>{"online", "fault-seed"}));
+}
+
+TEST(CliArgs, NumbersMustParseInFull) {
+  const Args args = parse({"schedule", "--budget", "abc", "--deadline", "3x", "--sigma", "",
+                           "--tasks", "12.5", "--reps", "-1", "--threads", " 4"});
+  EXPECT_THROW((void)args.get_double("budget", 0), InvalidArgument);
+  EXPECT_THROW((void)args.get_double("deadline", 0), InvalidArgument);
+  EXPECT_THROW((void)args.get_double("sigma", 0), InvalidArgument);
+  EXPECT_THROW((void)args.get_size("tasks", 0), InvalidArgument);
+  EXPECT_THROW((void)args.get_size("reps", 0), InvalidArgument);  // not wrapped to 2^64-1
+  EXPECT_THROW((void)args.get_size("threads", 0), InvalidArgument);
+}
+
+TEST(CliArgs, WellFormedNumbersParse) {
+  const Args args = parse({"simulate", "--budget", "2.5e1", "--deadline", "-3", "--reps", "7",
+                           "--fault-seed", "18446744073709551615"});
+  EXPECT_DOUBLE_EQ(args.get_double("budget", 0), 25.0);
+  EXPECT_DOUBLE_EQ(args.get_double("deadline", 0), -3.0);
+  EXPECT_EQ(args.get_size("reps", 0), 7u);
+  EXPECT_EQ(args.get_size("fault-seed", 0), 18446744073709551615u);
+}
+
 TEST(CliArgs, EmptyCommandLine) {
   const Args args = parse({});
   EXPECT_TRUE(args.command().empty());

@@ -4,10 +4,11 @@
 /// \brief Tiny command-line parser for the cloudwf tool.
 ///
 /// Grammar: `cloudwf <command> [positional...] [--flag value | --switch]`.
-/// Flags may appear anywhere after the command; unknown flags are errors so
+/// Flags may appear anywhere after the command; unknown flags
+/// (require_known()) and values that do not parse in full are errors, so
 /// typos fail loudly.
 
-#include <cstdlib>
+#include <charconv>
 #include <map>
 #include <set>
 #include <string>
@@ -51,21 +52,27 @@ class Args {
 
   [[nodiscard]] bool has(const std::string& name) const { return seen_.contains(name); }
 
+  /// Every flag given on the command line, switches included.
+  [[nodiscard]] const std::set<std::string>& flags() const { return seen_; }
+
+  /// Throws InvalidArgument naming the first given flag not in \p known.
+  void require_known(const std::set<std::string>& known) const {
+    for (const std::string& name : seen_)
+      require(known.contains(name), "unknown flag --" + name + " for '" + command_ + "'");
+  }
+
   [[nodiscard]] std::string get(const std::string& name, const std::string& fallback) const {
     const auto it = flags_.find(name);
     return it == flags_.end() ? fallback : it->second;
   }
 
   [[nodiscard]] double get_double(const std::string& name, double fallback) const {
-    const auto it = flags_.find(name);
-    return it == flags_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    return parse(name, fallback);
   }
 
+  /// A non-negative decimal integer: "-1" is rejected, not wrapped.
   [[nodiscard]] std::size_t get_size(const std::string& name, std::size_t fallback) const {
-    const auto it = flags_.find(name);
-    return it == flags_.end() ? fallback
-                              : static_cast<std::size_t>(std::strtoull(it->second.c_str(),
-                                                                       nullptr, 10));
+    return parse(name, fallback);
   }
 
   /// Splits a comma-separated flag into entries.
@@ -85,6 +92,19 @@ class Args {
   }
 
  private:
+  /// The value of flag \p name, which must parse in full as a T.
+  template <typename T>
+  [[nodiscard]] T parse(const std::string& name, T fallback) const {
+    const auto it = flags_.find(name);
+    if (it == flags_.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), value);
+    require(error == std::errc() && end == text.data() + text.size(),
+            "invalid value '" + text + "' for --" + name);
+    return value;
+  }
+
   std::vector<std::string> args_;
   std::string command_;
   std::vector<std::string> positional_;

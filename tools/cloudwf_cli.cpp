@@ -13,7 +13,7 @@
 ///   simulate  <wf> --algorithm heft-budg --budget 3.0 [--reps 25] [--seed 7]
 ///             [--trace-events out.json] [--metrics-out metrics.json]
 ///             [--profile]
-///             [--deadline D] [--online] [--timeout-sigmas 2]
+///             [--deadline D] [--online] [--timeout-sigmas 2] [--budget-cap C]
 ///             [--fault-lambda-crash 1.0] [--fault-p-boot-fail 0.05]
 ///             [--fault-p-transfer-fail 0.01] [--fault-acquisition-delay 60]
 ///             [--fault-seed S] [--recovery-budget-cap C]
@@ -25,6 +25,14 @@
 ///   campaign  --type montage [--tasks 90] [--instances 3] [--sigma 0.5]
 ///             [--algorithms LIST|all] [--points 6] [--reps 10] [--threads N]
 ///             [--checkpoint-dir DIR] [--resume] [--run-timeout S]
+///
+/// Every command also takes --profile; info, schedule, simulate, sweep and
+/// campaign take --platform / --contention, and commands that read a
+/// workflow take --sigma.  A flag the command does not read is an error, as
+/// is a number that does not parse in full (or a negative count); --online
+/// runs the policy alone, so it refuses every --fault-*, --recovery-* and
+/// --deadline flag.  Each simulated execution is one sim::Simulator::run()
+/// whose RunOptions carry the online policy or the fault model.
 ///
 /// Algorithm lists come from the scheduler registry: sweep defaults to every
 /// budget-aware non-refining algorithm, campaign to every non-refining one
@@ -53,9 +61,12 @@
 /// wall-clock profile of scheduler planning, the simulator event loop and
 /// generator construction to stderr on exit.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <set>
+#include <string_view>
 
 #include "check/auto_check.hpp"
 #include "cli_args.hpp"
@@ -281,7 +292,7 @@ int cmd_schedule(const cli::Args& args) {
             << "  VMs                : " << out.schedule.used_vm_count() << "\n";
 
   const sim::Simulator simulator(wf, cloud, obs_options.bus_or_null());
-  const sim::SimResult prediction = simulator.run_conservative(out.schedule);
+  const sim::SimResult prediction = simulator.run(out.schedule, dag::conservative_weights(wf));
   if (obs_options.want_metrics())
     sim::record_run_metrics(obs_options.metrics, prediction, budget);
   if (args.has("gantt")) {
@@ -309,6 +320,11 @@ int cmd_schedule(const cli::Args& args) {
 }
 
 int cmd_simulate(const cli::Args& args) {
+  // Online runs model neither faults nor a deadline: refuse their knobs.
+  if (args.has("online"))
+    for (const std::string& flag : args.flags())
+      require(!flag.starts_with("fault-") && !flag.starts_with("recovery-") && flag != "deadline",
+              "--online cannot be combined with --" + flag);
   const dag::Workflow wf =
       load_workflow(args.positional_at(0, "workflow file"), args.get_double("sigma", 0.5));
   const platform::Platform cloud = make_platform(args);
@@ -323,7 +339,8 @@ int cmd_simulate(const cli::Args& args) {
   const sim::Simulator simulator(wf, cloud);
 
   if (args.has("online")) {
-    sim::OnlinePolicy policy;
+    sim::RunOptions options;
+    sim::OnlinePolicy& policy = options.online.emplace();
     policy.timeout_sigmas = args.get_double("timeout-sigmas", 2.0);
     policy.budget_cap = args.has("budget-cap")
                             ? args.get_double("budget-cap", 0)
@@ -336,7 +353,7 @@ int cmd_simulate(const cli::Args& args) {
     for (std::size_t rep = 0; rep < reps; ++rep) {
       Rng stream = base.fork(rep);
       const sim::SimResult r =
-          simulator.run_online(out.schedule, dag::sample_weights(wf, stream), policy);
+          simulator.run(out.schedule, dag::sample_weights(wf, stream), options);
       makespan.add(r.makespan);
       cost.add(r.total_cost());
       migrations += static_cast<double>(r.migrations);
@@ -364,12 +381,10 @@ int cmd_simulate(const cli::Args& args) {
     const sim::Simulator traced(wf, cloud, &obs_options.bus);
     const Rng base(config.seed);
     Rng stream = base.fork(0);
-    const dag::WeightRealization weights = dag::sample_weights(wf, stream);
-    if (config.faults.enabled())
-      (void)traced.run_with_faults(out.schedule, weights, config.faults.for_repetition(0),
-                                   config.recovery);
-    else
-      (void)traced.run(out.schedule, weights);
+    sim::RunOptions options;
+    options.faults = config.faults.for_repetition(0);
+    options.recovery = config.recovery;
+    (void)traced.run(out.schedule, dag::sample_weights(wf, stream), options);
   }
 
   TablePrinter table(algorithm + " on " + wf.name() + " — " +
@@ -514,6 +529,46 @@ int cmd_campaign(const cli::Args& args) {
   return 0;
 }
 
+/// A command and every flag it reads; main rejects any other flag before the
+/// command runs.
+struct Command {
+  std::string_view name;
+  int (*run)(const cli::Args&);
+  std::set<std::string> flags;
+};
+
+/// --profile plus the workflow and platform knobs of the simulating commands.
+const std::set<std::string> common_flags{"profile", "sigma", "platform", "contention"};
+const std::set<std::string> fault_flags{
+    "fault-p-boot-fail", "fault-lambda-crash", "fault-p-transfer-fail",
+    "fault-acquisition-delay", "fault-seed", "recovery-budget-cap",
+    "recovery-max-task-retries", "recovery-max-boot-attempts",
+    "recovery-max-transfer-retries", "recovery-transfer-backoff"};
+
+std::set<std::string> with(std::set<std::string> flags, const std::set<std::string>& more) {
+  flags.insert(more.begin(), more.end());
+  return flags;
+}
+
+const Command commands[] = {
+    {"generate", cmd_generate, {"profile", "type", "tasks", "seed", "sigma", "out"}},
+    {"info", cmd_info, common_flags},
+    {"convert", cmd_convert, {"profile", "sigma"}},
+    {"schedule", cmd_schedule,
+     with(common_flags, {"algorithm", "budget", "gantt", "trace-dir", "trace-events",
+                         "schedule-out", "metrics-out"})},
+    {"simulate", cmd_simulate,
+     with(with(common_flags, fault_flags),
+          {"algorithm", "budget", "reps", "seed", "trace-events", "metrics-out", "deadline",
+           "online", "timeout-sigmas", "budget-cap"})},
+    {"sweep", cmd_sweep,
+     with(with(common_flags, fault_flags),
+          {"algorithms", "points", "reps", "seed", "threads", "csv", "run-timeout"})},
+    {"campaign", cmd_campaign,
+     with(common_flags, {"type", "tasks", "instances", "points", "reps", "algorithms", "seed",
+                         "threads", "low-factor", "checkpoint-dir", "resume", "run-timeout"})},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -527,19 +582,15 @@ int main(int argc, char** argv) try {
     std::cout << usage;
     return 0;
   }
-  if (args.has("profile")) obs::set_profiling(true);
-  const auto dispatch = [&]() -> int {
-    if (command == "generate") return cmd_generate(args);
-    if (command == "info") return cmd_info(args);
-    if (command == "convert") return cmd_convert(args);
-    if (command == "schedule") return cmd_schedule(args);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "sweep") return cmd_sweep(args);
-    if (command == "campaign") return cmd_campaign(args);
+  const auto it = std::find_if(std::begin(commands), std::end(commands),
+                               [&](const Command& c) { return command == c.name; });
+  if (it == std::end(commands)) {
     std::cerr << "unknown command '" << command << "'\n\n" << usage;
     return 2;
-  };
-  const int code = dispatch();
+  }
+  args.require_known(it->flags);
+  if (args.has("profile")) obs::set_profiling(true);
+  const int code = it->run(args);
   // Profile table on stderr: stdout stays byte-identical with/without it.
   if (obs::profiling_enabled()) std::cerr << obs::profile_report();
   return code;

@@ -29,7 +29,8 @@
 ///       Self-consistency of a summary in isolation: required fields,
 ///       finite values, total == sum of components, Eq. (3) identity.
 ///
-/// Every command accepts --report PATH to also write the machine-readable
+/// A flag the command does not read is a usage error.  Every command
+/// accepts --report PATH to also write the machine-readable
 /// violation report (violation.hpp schema; validated by
 /// scripts/check_trace_schema.py --violations).
 ///
@@ -43,8 +44,10 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -672,23 +675,33 @@ CheckReport lint_summary(const cli::Args& args) {
   return report;
 }
 
+/// A command and every flag it reads besides --help; dispatch() rejects any
+/// other flag before the command runs.
+struct Command {
+  std::string_view name;
+  CheckReport (*run)(const cli::Args&);
+  std::set<std::string> flags;
+};
+
+const Command commands[] = {
+    {"run", lint_run,
+     {"report", "sigma", "platform", "contention", "trace-dir", "tasks", "vms", "summary",
+      "budget"}},
+    {"schedule", lint_schedule, {"report", "sigma", "platform", "contention"}},
+    {"events", lint_events, {"report"}},
+    {"checkpoint", lint_checkpoint, {"report", "strict"}},
+    {"summary", lint_summary, {"report"}},
+};
+
 int dispatch(const cli::Args& args) {
-  const std::string& command = args.command();
-  CheckReport report;
-  if (command == "run")
-    report = lint_run(args);
-  else if (command == "schedule")
-    report = lint_schedule(args);
-  else if (command == "events")
-    report = lint_events(args);
-  else if (command == "checkpoint")
-    report = lint_checkpoint(args);
-  else if (command == "summary")
-    report = lint_summary(args);
-  else {
-    std::cerr << "unknown command '" << command << "'\n\n" << usage;
+  const auto it = std::find_if(std::begin(commands), std::end(commands),
+                               [&](const Command& c) { return args.command() == c.name; });
+  if (it == std::end(commands)) {
+    std::cerr << "unknown command '" << args.command() << "'\n\n" << usage;
     return 2;
   }
+  args.require_known(it->flags);
+  const CheckReport report = it->run(args);
 
   if (args.has("report")) {
     const std::string out = args.get("report", "violations.json");
