@@ -122,13 +122,8 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
       recovery_cost += run.faults.recovery_cost;
       wasted += run.faults.wasted_compute;
 
-      for (dag::TaskId t = 0; t < run.tasks.size(); ++t) {
-        const sim::TaskRecord& record = run.tasks[t];
-        if (record.failed || record.vm == sim::invalid_vm || record.vm >= run.vms.size())
-          continue;
-        const Seconds ready = std::max(record.inputs_at_dc, run.vms[record.vm].boot_done);
-        waits.push_back(std::max(0.0, record.start - ready));
-      }
+      for (dag::TaskId t = 0; t < run.tasks.size(); ++t)
+        if (const std::optional<Seconds> wait = sim::queue_wait(run, t)) waits.push_back(*wait);
       Seconds busy_total = 0;
       Seconds billed_total = 0;
       for (const sim::VmRecord& vm : run.vms) {

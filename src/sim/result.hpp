@@ -3,7 +3,9 @@
 /// \file result.hpp
 /// \brief Outputs of one simulated workflow execution.
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "common/units.hpp"
@@ -86,5 +88,17 @@ struct SimResult {
   /// True when every task completed and every external output was delivered.
   [[nodiscard]] bool success() const { return faults.failed_tasks == 0; }
 };
+
+/// How long \p task sat ready on its VM before computing: its start minus
+/// the later of "inputs at the DC" and "VM up", never negative.  nullopt
+/// for a failed task (it never started) or one without a VM record.
+[[nodiscard]] inline std::optional<Seconds> queue_wait(const SimResult& result,
+                                                       dag::TaskId task) {
+  const TaskRecord& record = result.tasks[task];
+  if (record.failed || record.vm == invalid_vm || record.vm >= result.vms.size())
+    return std::nullopt;
+  const Seconds ready = std::max(record.inputs_at_dc, result.vms[record.vm].boot_done);
+  return std::max(0.0, record.start - ready);
+}
 
 }  // namespace cloudwf::sim

@@ -83,7 +83,8 @@ struct Totals {
 /// The task-to-VM mapping starts as a copy of the static Schedule but is
 /// *mutable*: the online policy (paper Section VI) may interrupt a running
 /// task and restart it on a freshly provisioned VM of the fastest category,
-/// and fault recovery (faults.hpp) may re-home the work of a crashed VM.
+/// and fault recovery (faults.hpp) may re-home the work of a crashed VM;
+/// both move tasks through relocate().
 /// reset() clears or re-assigns every container instead of rebuilding it,
 /// so a reused arena runs without heap allocations once warm.
 class Execution {
@@ -283,12 +284,17 @@ class Execution {
   void on_crash(VmId vm);
   void abandon_boot(VmId vm);
   void recover_tasks(VmId from, bool allow_provisioning);
+  /// Why relocate() moves tasks; a fresh recovery VM bills as recovery cost.
+  enum class Relocation { migration, recovery };
+  void relocate(Relocation why, VmId from, std::span<const dag::TaskId> moved, VmId to,
+                platform::CategoryId category);
   void restage_task(dag::TaskId task, std::vector<TransferJob>& uploads);
-  void enqueue_moved_downloads(VmId vm, const std::vector<dag::TaskId>& moved);
+  void enqueue_downloads(VmId vm, std::span<const dag::TaskId> tasks);
   void on_transfer_retry(std::size_t job_index);
   void abort_transfer(const TransferJob& job);
   void fail_task(dag::TaskId task);
-  [[nodiscard]] Dollars committed_vm_cost() const;
+  [[nodiscard]] bool below_cap(const platform::VmCategory& category, Seconds seconds,
+                               Dollars cap) const;
   [[noreturn]] void report_deadlock() const;
   [[nodiscard]] Totals totals() const;
   [[nodiscard]] SimResult finalize() const;
@@ -496,9 +502,14 @@ void Execution::on_boot_done(VmId vm) {
     if (std::isfinite(uptime)) push_event(now_ + uptime, Event::Kind::crash, vm, dag::invalid_task);
   }
 
-  // Enqueue every download that is already possible, in list order (stable
-  // FIFO per link keeps the run deterministic).
-  for (dag::TaskId t : plans_[vm].tasks) {
+  enqueue_downloads(vm, plans_[vm].tasks);
+  try_start_tasks(vm);
+}
+
+void Execution::enqueue_downloads(VmId vm, std::span<const dag::TaskId> tasks) {
+  // Every download that is already possible, in \p tasks order (stable FIFO
+  // per link keeps the run deterministic).
+  for (dag::TaskId t : tasks) {
     if (vm_of_[t] != vm || tasks_[t].started || tasks_[t].finished || tasks_[t].failed)
       continue;  // migration/recovery leftovers
     if (wf_.external_input_of(t) > 0)
@@ -511,7 +522,6 @@ void Execution::on_boot_done(VmId vm) {
       }
     }
   }
-  try_start_tasks(vm);
 }
 
 void Execution::enqueue_job(TransferJob job) {
@@ -807,24 +817,28 @@ void Execution::on_task_done(VmId vm, dag::TaskId task) {
   try_start_tasks(vm);
 }
 
-Dollars Execution::committed_vm_cost() const {
-  // Billed time so far plus setups of all booked VMs (the spend guard of the
-  // online policy and of fault recovery; datacenter charges are not included
-  // — they are small and budget reservations already cover them).
+bool Execution::below_cap(const platform::VmCategory& category, Seconds seconds,
+                          Dollars cap) const {
+  // The spend guard of the online policy and of fault recovery: billed time
+  // so far plus setups of all booked VMs, plus booking a fresh VM of
+  // \p category for \p seconds, must stay *strictly below* \p cap (the
+  // projection is an estimate; consuming the cap exactly leaves no
+  // headroom).  Datacenter charges are not included — they are small and
+  // budget reservations already cover them.
   Dollars committed = 0;
   for (VmId v = 0; v < vms_.size(); ++v) {
     const VmState& state = vms_[v];
     if (state.boot == BootState::unrequested) continue;
     if (state.dead && state.boot != BootState::up) continue;  // abandoned boot: never billed
-    const platform::VmCategory& category = vm_category(v);
-    committed += category.setup_cost;
+    const platform::VmCategory& booked = vm_category(v);
+    committed += booked.setup_cost;
     if (state.boot == BootState::up) {
       const Seconds until =
           state.dead ? std::max(state.end, state.boot_done) : std::max(now_, state.boot_done);
-      committed += (until - state.boot_done) * category.price_per_second;
+      committed += (until - state.boot_done) * booked.price_per_second;
     }
   }
-  return committed;
+  return committed + category.setup_cost + seconds * category.price_per_second < cap;
 }
 
 void Execution::on_timeout(VmId vm, dag::TaskId task) {
@@ -836,17 +850,13 @@ void Execution::on_timeout(VmId vm, dag::TaskId task) {
   const platform::CategoryId fastest = platform_.fastest_category();
   const platform::VmCategory& target = platform_.category(fastest);
   if (target.speed < policy_->min_speedup * vm_speed(vm)) return;
-  // ... and the projected spend must stay *strictly below* the cap (the
-  // projection is an estimate; consuming the cap exactly leaves no headroom).
-  // Projection: spend so far + conservative compute of the restarted task +
-  // its input re-stage.
+  // ... and the spend guard must admit the rescue VM for the conservative
+  // compute of the restarted task plus its input re-stage.
   Bytes restage = wf_.external_input_of(task);
   for (dag::EdgeId e : wf_.in_edges(task)) restage += wf_.edge(e).bytes;
   const Seconds projected_time = wf_.task(task).conservative_weight() / target.speed +
                                  restage / platform_.bandwidth();
-  if (committed_vm_cost() + target.setup_cost + projected_time * target.price_per_second >=
-      policy_->budget_cap)
-    return;
+  if (!below_cap(target, projected_time, policy_->budget_cap)) return;
 
   migrate(vm, task);
 }
@@ -866,67 +876,12 @@ void Execution::interrupt_running(VmId vm, dag::TaskId task) {
 }
 
 void Execution::migrate(VmId from, dag::TaskId task) {
-  TaskState& ts = tasks_[task];
-  VmState& old_state = vms_[from];
-
   interrupt_running(from, task);
-  old_state.end = std::max(old_state.end, now_);
+  vms_[from].end = std::max(vms_[from].end, now_);
   ++records_[task].restarts;
   ++migrations_;
-
-  // Provision the rescue VM (fastest category, this task only).
-  const platform::CategoryId fastest = platform_.fastest_category();
-  const VmId rescue = static_cast<VmId>(plans_.size());
-  plans_.push_back(VmPlan{fastest, {task}});
-  vms_.emplace_back();
-  vms_.back().free_procs = platform_.category(fastest).processors;
-  vm_of_[task] = rescue;
-  records_[task].vm = rescue;
-  if (obs_)
-    emit({.kind = obs::EventKind::task_dispatch,
-          .time = now_,
-          .vm = obs_vm(rescue),
-          .task = obs_task(task),
-          .name = wf_.task(task).name,
-          .detail = "migration"});
-
-  // Re-stage the inputs: data already at the datacenter is re-downloaded;
-  // data that had been local to the old VM must be uploaded first.
-  ts.remote_in_pending = 0;
-  ts.local_in_pending = 0;
-  ts.dc_in_pending = 0;
-  ts.gate_time = now_;
-  ts.gate_task = dag::invalid_task;
-  if (wf_.external_input_of(task) > 0) ++ts.remote_in_pending;
-  for (dag::EdgeId e : wf_.in_edges(task)) {
-    ++ts.remote_in_pending;
-    if (edge_at_dc_[e] >= 0) {
-      download_enqueued_[e] = false;  // the boot scan re-enqueues it
-    } else {
-      // Was local to the old VM: ship it through the datacenter now.
-      CLOUDWF_ASSERT(!edge_needs_transfer_[e]);
-      edge_needs_transfer_[e] = true;
-      ++ts.dc_in_pending;
-      enqueue_job({JobKind::edge_upload, from, e, wf_.edge(e).src, wf_.edge(e).bytes});
-    }
-  }
-
-  // Out-edges whose consumer sat on the old VM become cross-VM transfers.
-  for (dag::EdgeId e : wf_.out_edges(task)) {
-    const dag::TaskId consumer = wf_.edge(e).dst;
-    if (edge_needs_transfer_[e] || vm_of_[consumer] == rescue) continue;
-    CLOUDWF_ASSERT(vm_of_[consumer] == from);
-    edge_needs_transfer_[e] = true;
-    TaskState& cs = tasks_[consumer];
-    CLOUDWF_ASSERT(cs.local_in_pending > 0);
-    --cs.local_in_pending;
-    ++cs.remote_in_pending;
-    ++cs.dc_in_pending;
-  }
-
-  request_boot(rescue);
-  // Other tasks on the old VM may have been waiting for the processor.
-  try_start_tasks(from);
+  // The rescue VM: the fastest category, this task only.
+  relocate(Relocation::migration, from, {&task, 1}, invalid_vm, platform_.fastest_category());
 }
 
 void Execution::on_crash(VmId vm) {
@@ -981,29 +936,20 @@ void Execution::recover_tasks(VmId from, bool allow_provisioning) {
     if (vm_of_[t] == from && !tasks_[t].finished && !tasks_[t].failed) pending.push_back(t);
   if (pending.empty()) return;
 
-  // 3. Pick the new home: a same-category replacement while the projected
-  //    spend stays strictly below the recovery budget cap, otherwise degrade
-  //    gracefully and re-pack onto a surviving already-paid VM.
-  VmId target = invalid_vm;
+  // 3. Pick the new home: a same-category replacement while the spend guard
+  //    admits the remaining conservative work under the recovery budget cap,
+  //    otherwise degrade gracefully and re-pack onto a surviving already-paid
+  //    VM.
+  const platform::VmCategory& category = vm_category(from);
   bool fresh = false;
   if (allow_provisioning) {
-    const platform::VmCategory& category = vm_category(from);
     Instructions remaining = 0;
     for (dag::TaskId t : pending) remaining += wf_.task(t).conservative_weight();
-    const Dollars projected = committed_vm_cost() + category.setup_cost +
-                              (remaining / category.speed) * category.price_per_second;
-    if (projected < recovery_->budget_cap)
-      fresh = true;
-    else
-      stats_.degraded = true;
+    fresh = below_cap(category, remaining / category.speed, recovery_->budget_cap);
+    if (!fresh) stats_.degraded = true;
   }
-  if (fresh) {
-    target = static_cast<VmId>(plans_.size());
-    plans_.push_back(VmPlan{plans_[from].category, pending});
-    vms_.emplace_back();
-    vms_.back().free_procs = vm_category(target).processors;
-    vms_.back().recovery_vm = true;
-  } else {
+  VmId target = invalid_vm;
+  if (!fresh) {
     // Survivor with the least pending work (ties to the lowest id).
     std::size_t best_load = 0;
     for (VmId v = 0; v < vms_.size(); ++v) {
@@ -1021,27 +967,6 @@ void Execution::recover_tasks(VmId from, bool allow_provisioning) {
       for (dag::TaskId t : pending) fail_task(t);
       return;
     }
-  }
-
-  if (obs_)
-    emit({.kind = obs::EventKind::fault_recovered,
-          .time = now_,
-          .vm = obs_vm(target),
-          .detail = fresh ? "replacement_vm" : "repack",
-          .value = static_cast<double>(pending.size())});
-  for (dag::TaskId t : pending) {
-    vm_of_[t] = target;
-    records_[t].vm = target;
-    if (obs_)
-      emit({.kind = obs::EventKind::task_dispatch,
-            .time = now_,
-            .vm = obs_vm(target),
-            .task = obs_task(t),
-            .name = wf_.task(t).name,
-            .detail = "recovery"});
-  }
-
-  if (!fresh) {
     // Merge the moved tasks into the unstarted tail of the survivor's list,
     // ordered by schedule priority.  Starts happen strictly in list order,
     // so the merged order must stay dependency-consistent; the priorities of
@@ -1058,14 +983,49 @@ void Execution::recover_tasks(VmId from, bool allow_provisioning) {
     plan.insert(plan.end(), tail.begin(), tail.end());
   }
 
-  // 4. Re-stage inputs.  Uploads are collected first and enqueued only after
+  if (obs_)
+    emit({.kind = obs::EventKind::fault_recovered,
+          .time = now_,
+          .vm = obs_vm(fresh ? static_cast<VmId>(plans_.size()) : target),
+          .detail = fresh ? "replacement_vm" : "repack",
+          .value = static_cast<double>(pending.size())});
+  relocate(Relocation::recovery, from, pending, target, plans_[from].category);
+}
+
+void Execution::relocate(Relocation why, VmId from, std::span<const dag::TaskId> moved, VmId to,
+                         platform::CategoryId category) {
+  // 1. The new home: \p to, or (invalid_vm) a fresh VM of \p category that
+  //    runs exactly the moved tasks.
+  const bool fresh = to == invalid_vm;
+  if (fresh) {
+    to = static_cast<VmId>(plans_.size());
+    plans_.push_back(VmPlan{category, std::vector<dag::TaskId>(moved.begin(), moved.end())});
+    vms_.emplace_back();
+    vms_.back().free_procs = vm_category(to).processors;
+    vms_.back().recovery_vm = why == Relocation::recovery;
+  }
+
+  // 2. Re-home the tasks.
+  for (dag::TaskId t : moved) {
+    vm_of_[t] = to;
+    records_[t].vm = to;
+    if (obs_)
+      emit({.kind = obs::EventKind::task_dispatch,
+            .time = now_,
+            .vm = obs_vm(to),
+            .task = obs_task(t),
+            .name = wf_.task(t).name,
+            .detail = why == Relocation::migration ? "migration" : "recovery"});
+  }
+
+  // 3. Re-stage inputs.  Uploads are collected first and enqueued only after
   //    every counter is rebuilt: zero-byte jobs dispatch inline and could
   //    otherwise start a task whose pending-input counts are half-built.
   std::vector<TransferJob> uploads;
-  for (dag::TaskId t : pending) restage_task(t, uploads);
+  for (dag::TaskId t : moved) restage_task(t, uploads);
 
-  // 5. Queued downloads of the dead host are void (in-flight ones are
-  //    discarded on completion).
+  // Queued downloads to the old host for tasks that left it (or failed) are
+  // void; in-flight ones are discarded on completion.
   LinkQueue kept;
   for (std::size_t ji = vms_[from].queue_down.head; ji != no_job;) {
     const std::size_t next = jobs_[ji].next;
@@ -1075,13 +1035,19 @@ void Execution::recover_tasks(VmId from, bool allow_provisioning) {
   }
   vms_[from].queue_down = kept;
 
-  if (fresh) request_boot(target);
-  for (TransferJob& job : uploads) enqueue_job(job);
-  if (!fresh && vms_[target].boot == BootState::up) {
-    enqueue_moved_downloads(target, pending);
-    try_start_tasks(target);
+  // 4. Boot before the uploads: a zero-byte upload lands at the datacenter
+  //    inline, and the boot gate would otherwise book the fresh VM early.
+  if (fresh) request_boot(to);
+  for (const TransferJob& job : uploads) enqueue_job(job);
+
+  // 5. A running host fetches the inputs now; a booting one picks the moved
+  //    tasks up in its boot scan.  The old host may start tasks that waited
+  //    for the freed processor (a dead one starts nothing).
+  if (vms_[to].boot == BootState::up) {
+    enqueue_downloads(to, moved);
+    try_start_tasks(to);
   }
-  // A still-booting survivor picks the moved tasks up in its boot scan.
+  try_start_tasks(from);
 }
 
 void Execution::restage_task(dag::TaskId task, std::vector<TransferJob>& uploads) {
@@ -1106,33 +1072,27 @@ void Execution::restage_task(dag::TaskId task, std::vector<TransferJob>& uploads
     if (edge_at_dc_[e] >= 0) {
       download_enqueued_[e] = false;  // re-download on the new host
     } else {
+      // A finished producer's output that exists only on its volume
+      // (possibly a dead VM's persistent disk) drains through the datacenter
+      // now; an unfinished producer uploads on completion, and a queued or
+      // in-flight upload lands at the DC on its own.
       ++ts.dc_in_pending;
-      if (tasks_[edge.src].finished && !edge_needs_transfer_[e]) {
-        // The output exists only on the producer's volume (possibly a dead
-        // VM's persistent disk) — drain it through the datacenter now.
-        edge_needs_transfer_[e] = true;
+      if (tasks_[edge.src].finished && !edge_needs_transfer_[e])
         uploads.push_back({JobKind::edge_upload, vm_of_[edge.src], e, edge.src, edge.bytes});
-      } else {
-        // An unfinished producer uploads on completion; a queued or
-        // in-flight upload lands at the DC on its own.
-        edge_needs_transfer_[e] = true;
-      }
+      edge_needs_transfer_[e] = true;
     }
   }
-}
-
-void Execution::enqueue_moved_downloads(VmId vm, const std::vector<dag::TaskId>& moved) {
-  for (dag::TaskId t : moved) {
-    if (vm_of_[t] != vm || tasks_[t].failed) continue;
-    if (wf_.external_input_of(t) > 0)
-      enqueue_job({JobKind::ext_input_download, vm, 0, t, wf_.external_input_of(t)});
-    for (dag::EdgeId e : wf_.in_edges(t)) {
-      if (!edge_needs_transfer_[e] || download_enqueued_[e]) continue;
-      if (edge_at_dc_[e] >= 0) {
-        download_enqueued_[e] = true;
-        enqueue_job({JobKind::edge_download, vm, e, t, wf_.edge(e).bytes});
-      }
-    }
+  // Consumers left behind on the old host (a migration moves one task, so
+  // its local consumers stay) now receive the output through the datacenter.
+  for (dag::EdgeId e : wf_.out_edges(task)) {
+    const dag::TaskId consumer = wf_.edge(e).dst;
+    TaskState& cs = tasks_[consumer];
+    if (edge_needs_transfer_[e] || vm_of_[consumer] == to || cs.failed) continue;
+    edge_needs_transfer_[e] = true;
+    CLOUDWF_ASSERT(cs.local_in_pending > 0);
+    --cs.local_in_pending;
+    ++cs.remote_in_pending;
+    ++cs.dc_in_pending;
   }
 }
 

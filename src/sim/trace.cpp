@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 
 #include "common/atomic_file.hpp"
@@ -140,14 +141,9 @@ std::string result_summary_text(const SimResult& result) {
 
 void record_run_metrics(obs::MetricsRegistry& metrics, const SimResult& result,
                         Dollars budget) {
-  // Queue wait: how long each task sat ready on its VM before computing —
-  // start minus the later of "inputs at the DC" and "VM up".  Failed tasks
-  // never started, so they have no wait.
-  for (const TaskRecord& record : result.tasks) {
-    if (record.failed || record.vm == invalid_vm || record.vm >= result.vms.size()) continue;
-    const Seconds ready = std::max(record.inputs_at_dc, result.vms[record.vm].boot_done);
-    metrics.observe("queue_wait_seconds", std::max(0.0, record.start - ready));
-  }
+  for (dag::TaskId t = 0; t < result.tasks.size(); ++t)
+    if (const std::optional<Seconds> wait = queue_wait(result, t))
+      metrics.observe("queue_wait_seconds", *wait);
   std::size_t failed = 0;
   for (const TaskRecord& record : result.tasks)
     if (record.failed) ++failed;

@@ -1,7 +1,9 @@
 /// \file test_fuzz.cpp
 /// \brief Randomized property tests: the engine's invariants must hold for
 /// arbitrary valid schedules of arbitrary generated workflows, offline and
-/// online.
+/// online.  The online and fault runs also replay each seed on a copy whose
+/// edges carry 0 bytes (DAX control dependencies), whose re-staged uploads
+/// complete inline.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "pegasus/generator.hpp"
 #include "platform/platform.hpp"
 #include "sim/simulator.hpp"
+#include "testing/helpers.hpp"
 
 namespace cloudwf {
 namespace {
@@ -117,16 +120,20 @@ TEST_P(FuzzTest, RandomScheduleInvariantsHoldOnline) {
   const platform::Platform platform = platform::paper_platform();
 
   const sim::Schedule schedule = random_schedule(wf, platform, rng);
-  const sim::Simulator simulator(wf, platform);
   Rng weight_rng = rng.fork(2);
   const dag::WeightRealization weights = dag::sample_weights(wf, weight_rng);
 
   sim::OnlinePolicy policy;
   policy.timeout_sigmas = 1.5;  // aggressive: force plenty of migrations
   policy.max_restarts = 2;
-  const sim::SimResult online = simulator.run(schedule, weights, {.online = policy});
-  check_invariants(wf, platform, online);
-  for (const sim::TaskRecord& task : online.tasks) EXPECT_LE(task.restarts, 2u);
+  const dag::Workflow zero = testing::with_zero_byte_edges(wf);
+  for (const dag::Workflow* run_wf : {&wf, &zero}) {
+    SCOPED_TRACE(run_wf == &zero ? "zero-byte edges" : "generated edges");
+    const sim::Simulator simulator(*run_wf, platform);
+    const sim::SimResult online = simulator.run(schedule, weights, {.online = policy});
+    check_invariants(*run_wf, platform, online);
+    for (const sim::TaskRecord& task : online.tasks) EXPECT_LE(task.restarts, 2u);
+  }
 }
 
 TEST_P(FuzzTest, ContentionModePreservesInvariantsAndSlowsTransfers) {
@@ -201,7 +208,6 @@ TEST_P(FuzzTest, FaultInjectionInvariantsHold) {
   const platform::Platform platform = platform::paper_platform();
 
   const sim::Schedule schedule = random_schedule(wf, platform, rng);
-  const sim::Simulator simulator(wf, platform);
   Rng weight_rng = rng.fork(4);
   const dag::WeightRealization weights = dag::sample_weights(wf, weight_rng);
 
@@ -214,24 +220,30 @@ TEST_P(FuzzTest, FaultInjectionInvariantsHold) {
   sim::RecoveryPolicy recovery;
   if (rng.below(2) == 0) recovery.budget_cap = rng.uniform(0.5, 20.0);
 
-  const sim::SimResult r =
-      simulator.run(schedule, weights, {.faults = model, .recovery = recovery});
-  check_fault_invariants(wf, platform, recovery, r);
+  const dag::Workflow zero = testing::with_zero_byte_edges(wf);
+  for (const dag::Workflow* run_wf : {&wf, &zero}) {
+    SCOPED_TRACE(run_wf == &zero ? "zero-byte edges" : "generated edges");
+    const sim::Simulator simulator(*run_wf, platform);
+    const sim::SimResult r =
+        simulator.run(schedule, weights, {.faults = model, .recovery = recovery});
+    check_fault_invariants(*run_wf, platform, recovery, r);
 
-  // Determinism: an identical rerun is bit-identical.
-  const sim::SimResult again =
-      simulator.run(schedule, weights, {.faults = model, .recovery = recovery});
-  EXPECT_DOUBLE_EQ(r.makespan, again.makespan);
-  EXPECT_DOUBLE_EQ(r.total_cost(), again.total_cost());
-  EXPECT_EQ(r.faults.crashes, again.faults.crashes);
-  EXPECT_EQ(r.faults.failed_tasks, again.faults.failed_tasks);
-  EXPECT_DOUBLE_EQ(r.faults.wasted_compute, again.faults.wasted_compute);
+    // Determinism: an identical rerun is bit-identical.
+    const sim::SimResult again =
+        simulator.run(schedule, weights, {.faults = model, .recovery = recovery});
+    EXPECT_DOUBLE_EQ(r.makespan, again.makespan);
+    EXPECT_DOUBLE_EQ(r.total_cost(), again.total_cost());
+    EXPECT_EQ(r.faults.crashes, again.faults.crashes);
+    EXPECT_EQ(r.faults.failed_tasks, again.faults.failed_tasks);
+    EXPECT_DOUBLE_EQ(r.faults.wasted_compute, again.faults.wasted_compute);
 
-  // A disabled fault model in the run options matches the plain run.
-  const sim::SimResult plain = simulator.run(schedule, weights);
-  const sim::SimResult zero = simulator.run(schedule, weights, {.faults = sim::FaultModel{}});
-  EXPECT_DOUBLE_EQ(plain.makespan, zero.makespan);
-  EXPECT_DOUBLE_EQ(plain.total_cost(), zero.total_cost());
+    // A disabled fault model in the run options matches the plain run.
+    const sim::SimResult plain = simulator.run(schedule, weights);
+    const sim::SimResult disabled =
+        simulator.run(schedule, weights, {.faults = sim::FaultModel{}});
+    EXPECT_DOUBLE_EQ(plain.makespan, disabled.makespan);
+    EXPECT_DOUBLE_EQ(plain.total_cost(), disabled.total_cost());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range<std::uint64_t>(1, 21));

@@ -157,6 +157,35 @@ TEST(Online, LocalPredecessorDataIsReStagedThroughDc) {
   EXPECT_DOUBLE_EQ(r.makespan, 821.0);
 }
 
+TEST(Online, ZeroByteLocalInputIsReStagedWithoutEarlyBoot) {
+  // The same chain with a 0-byte A->B edge: the re-stage upload completes
+  // inline at the timeout, and the rescue VM must still boot exactly once.
+  dag::Workflow wf("chain0");
+  const auto a = wf.add_task("A", 100, 0);
+  const auto b = wf.add_task("B", 100, 50);
+  wf.add_edge(a, b, 0);
+  wf.freeze();
+  Schedule schedule(2);
+  const VmId vm = schedule.add_vm(0);
+  schedule.assign(a, vm);
+  schedule.assign(b, vm);
+  const dag::WeightRealization weights({100.0, 1000.0});
+
+  const auto platform = testing::toy_platform();
+  OnlinePolicy policy;
+  policy.timeout_sigmas = 2.0;
+  const SimResult r = Simulator(wf, platform).run(schedule, weights, {.online = policy});
+
+  EXPECT_EQ(r.migrations, 1u);
+  // A: 10..110.  B starts 110, interrupted at 310; the rescue VM boots
+  // 310..320 and B reruns 320..820 (no transfer time for 0 bytes).
+  EXPECT_DOUBLE_EQ(r.vms[1].boot_request, 310.0);
+  EXPECT_DOUBLE_EQ(r.vms[1].boot_done, 320.0);
+  EXPECT_DOUBLE_EQ(r.tasks[b].start, 320.0);
+  EXPECT_DOUBLE_EQ(r.tasks[b].finish, 820.0);
+  EXPECT_DOUBLE_EQ(r.makespan, 820.0);
+}
+
 TEST(Online, DownstreamConsumerOnOldVmStillGetsData) {
   dag::Workflow wf("fanout");
   const auto a = wf.add_task("A", 100, 50);

@@ -90,6 +90,22 @@ inline dag::Workflow bag2() {
   return wf;
 }
 
+/// A copy of frozen \p wf whose edges carry 0 bytes (as DAX control
+/// dependencies load); tasks and external data are unchanged.
+/// dag::with_scaled_data rejects a factor of 0.
+inline dag::Workflow with_zero_byte_edges(const dag::Workflow& wf) {
+  dag::Workflow out(wf.name());
+  for (const dag::Task& t : wf.tasks())
+    out.add_task(t.name, t.mean_weight, t.weight_stddev, t.type);
+  for (const dag::Edge& e : wf.edges()) out.add_edge(e.src, e.dst, 0);
+  for (dag::TaskId t = 0; t < wf.task_count(); ++t) {
+    if (wf.external_input_of(t) > 0) out.add_external_input(t, wf.external_input_of(t));
+    if (wf.external_output_of(t) > 0) out.add_external_output(t, wf.external_output_of(t));
+  }
+  out.freeze();
+  return out;
+}
+
 /// A tiny platform with clean numbers: two categories (speed 1 at $3600/h
 /// => $1/s, speed 2 at $7200/h => $2/s), 10 s boot, $0.5 setup, 1 MB/s
 /// links, free datacenter.  Makes hand computations exact.

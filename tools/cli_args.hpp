@@ -1,7 +1,8 @@
 #pragma once
 
 /// \file cli_args.hpp
-/// \brief Tiny command-line parser for the cloudwf tool.
+/// \brief Tiny command-line parser for the cloudwf tools, plus the workflow
+/// and platform loaders that cloudwf and cloudwf-lint share.
 ///
 /// Grammar: `cloudwf <command> [positional...] [--flag value | --switch]`.
 /// Flags may appear anywhere after the command; unknown flags
@@ -9,12 +10,17 @@
 /// typos fail loudly.
 
 #include <charconv>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "dag/dax.hpp"
+#include "dag/io.hpp"
+#include "platform/io.hpp"
+#include "platform/platform.hpp"
 
 namespace cloudwf::cli {
 
@@ -111,5 +117,30 @@ class Args {
   std::map<std::string, std::string> flags_;
   std::set<std::string> seen_;
 };
+
+/// Loads the workflow at \p path by extension: .json (cloudwf schema) or
+/// .dax/.xml (Pegasus DAX, whose weights get --sigma as their stddev ratio,
+/// default 0.5).  A .json workflow carries its own stddevs, so --sigma with
+/// one is an error rather than a silently ignored flag.
+inline dag::Workflow load_workflow(const Args& args, const std::string& path) {
+  const std::string ext = std::filesystem::path(path).extension().string();
+  if (ext == ".json") {
+    require(!args.has("sigma"), "--sigma applies only to .dax/.xml workflows, not " + path);
+    return dag::load_json(path);
+  }
+  if (ext == ".dax" || ext == ".xml")
+    return dag::load_dax(path,
+                         {.reference_speed = 1.0, .stddev_ratio = args.get_double("sigma", 0.5)});
+  throw InvalidArgument("unrecognized workflow extension '" + ext + "' (use .json or .dax)");
+}
+
+/// The offer of --platform FILE.json, else the reconstructed Table II
+/// platform (finite-datacenter mode with --contention FACTOR > 0).
+inline platform::Platform make_platform(const Args& args) {
+  if (args.has("platform")) return platform::load_json(args.get("platform", ""));
+  const double contention = args.get_double("contention", 0.0);
+  return contention > 0 ? platform::paper_platform_with_contention(contention)
+                        : platform::paper_platform();
+}
 
 }  // namespace cloudwf::cli

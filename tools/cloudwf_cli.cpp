@@ -28,11 +28,13 @@
 ///
 /// Every command also takes --profile; info, schedule, simulate, sweep and
 /// campaign take --platform / --contention, and commands that read a
-/// workflow take --sigma.  A flag the command does not read is an error, as
-/// is a number that does not parse in full (or a negative count); --online
-/// runs the policy alone, so it refuses every --fault-*, --recovery-* and
-/// --deadline flag.  Each simulated execution is one sim::Simulator::run()
-/// whose RunOptions carry the online policy or the fault model.
+/// workflow take --sigma, which only a .dax/.xml workflow may use.  A flag
+/// the command does not read is an error, as is a number that does not
+/// parse in full (or a negative count); --online runs the policy alone, so
+/// it refuses every --fault-*, --recovery-* and --deadline flag, and
+/// --timeout-sigmas / --budget-cap need --online.  Each simulated execution
+/// is one sim::Simulator::run() whose RunOptions carry the online policy or
+/// the fault model.
 ///
 /// Algorithm lists come from the scheduler registry: sweep defaults to every
 /// budget-aware non-refining algorithm, campaign to every non-refining one
@@ -86,7 +88,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "pegasus/generator.hpp"
-#include "platform/io.hpp"
 #include "platform/platform.hpp"
 #include "sched/registry.hpp"
 #include "sim/gantt.hpp"
@@ -119,14 +120,6 @@ std::string extension(const std::string& path) {
   return std::filesystem::path(path).extension().string();
 }
 
-dag::Workflow load_workflow(const std::string& path, double sigma) {
-  const std::string ext = extension(path);
-  if (ext == ".json") return dag::load_json(path);
-  if (ext == ".dax" || ext == ".xml")
-    return dag::load_dax(path, {.reference_speed = 1.0, .stddev_ratio = sigma});
-  throw InvalidArgument("unrecognized workflow extension '" + ext + "' (use .json or .dax)");
-}
-
 void save_workflow(const dag::Workflow& wf, const std::string& path) {
   const std::string ext = extension(path);
   if (ext == ".json") {
@@ -141,13 +134,6 @@ void save_workflow(const dag::Workflow& wf, const std::string& path) {
     throw InvalidArgument("unrecognized output extension '" + ext + "'");
   }
   std::cout << "wrote " << path << '\n';
-}
-
-platform::Platform make_platform(const cli::Args& args) {
-  if (args.has("platform")) return platform::load_json(args.get("platform", ""));
-  const double contention = args.get_double("contention", 0.0);
-  return contention > 0 ? platform::paper_platform_with_contention(contention)
-                        : platform::paper_platform();
 }
 
 /// Observability wiring shared by schedule and simulate: --trace-events
@@ -238,9 +224,8 @@ int cmd_generate(const cli::Args& args) {
 }
 
 int cmd_info(const cli::Args& args) {
-  const dag::Workflow wf =
-      load_workflow(args.positional_at(0, "workflow file"), args.get_double("sigma", 0.5));
-  const platform::Platform cloud = make_platform(args);
+  const dag::Workflow wf = cli::load_workflow(args, args.positional_at(0, "workflow file"));
+  const platform::Platform cloud = cli::make_platform(args);
   const dag::RankParams params{cloud.mean_speed(), cloud.bandwidth(), true};
   const dag::GraphMetrics metrics = dag::graph_metrics(wf, params);
   const exp::BudgetLevels levels = exp::compute_budget_levels(wf, cloud);
@@ -267,16 +252,14 @@ int cmd_info(const cli::Args& args) {
 }
 
 int cmd_convert(const cli::Args& args) {
-  const dag::Workflow wf =
-      load_workflow(args.positional_at(0, "input file"), args.get_double("sigma", 0.5));
+  const dag::Workflow wf = cli::load_workflow(args, args.positional_at(0, "input file"));
   save_workflow(wf, args.positional_at(1, "output file"));
   return 0;
 }
 
 int cmd_schedule(const cli::Args& args) {
-  const dag::Workflow wf =
-      load_workflow(args.positional_at(0, "workflow file"), args.get_double("sigma", 0.5));
-  const platform::Platform cloud = make_platform(args);
+  const dag::Workflow wf = cli::load_workflow(args, args.positional_at(0, "workflow file"));
+  const platform::Platform cloud = cli::make_platform(args);
   const std::string algorithm = args.get("algorithm", "heft-budg");
   const Dollars budget = args.has("budget") ? args.get_double("budget", 0)
                                             : exp::compute_budget_levels(wf, cloud).medium;
@@ -320,14 +303,18 @@ int cmd_schedule(const cli::Args& args) {
 }
 
 int cmd_simulate(const cli::Args& args) {
-  // Online runs model neither faults nor a deadline: refuse their knobs.
-  if (args.has("online"))
-    for (const std::string& flag : args.flags())
+  // Online runs model neither faults nor a deadline, and only they read the
+  // policy knobs: refuse a flag the chosen mode would ignore.
+  const bool online = args.has("online");
+  for (const std::string& flag : args.flags()) {
+    if (online)
       require(!flag.starts_with("fault-") && !flag.starts_with("recovery-") && flag != "deadline",
               "--online cannot be combined with --" + flag);
-  const dag::Workflow wf =
-      load_workflow(args.positional_at(0, "workflow file"), args.get_double("sigma", 0.5));
-  const platform::Platform cloud = make_platform(args);
+    else
+      require(flag != "timeout-sigmas" && flag != "budget-cap", "--" + flag + " needs --online");
+  }
+  const dag::Workflow wf = cli::load_workflow(args, args.positional_at(0, "workflow file"));
+  const platform::Platform cloud = cli::make_platform(args);
   const std::string algorithm = args.get("algorithm", "heft-budg");
   const Dollars budget = args.has("budget") ? args.get_double("budget", 0)
                                             : exp::compute_budget_levels(wf, cloud).medium;
@@ -338,7 +325,7 @@ int cmd_simulate(const cli::Args& args) {
   const auto out = sched::make_scheduler(algorithm)->schedule(input);
   const sim::Simulator simulator(wf, cloud);
 
-  if (args.has("online")) {
+  if (online) {
     sim::RunOptions options;
     sim::OnlinePolicy& policy = options.online.emplace();
     policy.timeout_sigmas = args.get_double("timeout-sigmas", 2.0);
@@ -415,9 +402,8 @@ int cmd_simulate(const cli::Args& args) {
 }
 
 int cmd_sweep(const cli::Args& args) {
-  const dag::Workflow wf =
-      load_workflow(args.positional_at(0, "workflow file"), args.get_double("sigma", 0.5));
-  const platform::Platform cloud = make_platform(args);
+  const dag::Workflow wf = cli::load_workflow(args, args.positional_at(0, "workflow file"));
+  const platform::Platform cloud = cli::make_platform(args);
   // Default: every budget-aware, non-refining algorithm from the registry.
   const auto algorithms = resolve_algorithms(args.get_list(
       "algorithms", join_algorithms([](const sched::SchedulerInfo& info) {
@@ -513,7 +499,7 @@ int cmd_campaign(const cli::Args& args) {
   config.run_timeout = args.get_double("run-timeout", 0.0);
   config.apply_quick_mode();
 
-  const exp::CampaignResult result = exp::run_campaign(make_platform(args), config);
+  const exp::CampaignResult result = exp::run_campaign(cli::make_platform(args), config);
   // Journal bookkeeping goes to stderr so a resumed campaign's stdout stays
   // byte-identical to an uninterrupted run (diffable in CI).
   if (!result.journal_path.empty())

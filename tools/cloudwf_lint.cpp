@@ -58,10 +58,7 @@
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "dag/dax.hpp"
-#include "dag/io.hpp"
 #include "exp/checkpoint.hpp"
-#include "platform/io.hpp"
 #include "platform/platform.hpp"
 #include "sim/result.hpp"
 #include "sim/schedule_io.hpp"
@@ -80,7 +77,7 @@ commands:
   run <wf> --trace-dir DIR   replay the invariant checker on tasks.csv +
                              vms.csv + summary.json  [--tasks F] [--vms F]
                              [--summary F] [--budget B] [--platform FILE]
-                             [--contention F] [--sigma S]
+                             [--contention F] [--sigma S (.dax only)]
   schedule <wf> <sched.json> validate a cloudwf-schedule file
   events <trace.json>        validate a Chrome trace-event file
   checkpoint <journal.jsonl> validate a campaign checkpoint journal [--strict]
@@ -97,21 +94,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-dag::Workflow load_workflow(const std::string& path, double sigma) {
-  const std::string ext = std::filesystem::path(path).extension().string();
-  if (ext == ".json") return dag::load_json(path);
-  if (ext == ".dax" || ext == ".xml")
-    return dag::load_dax(path, {.reference_speed = 1.0, .stddev_ratio = sigma});
-  throw InvalidArgument("unrecognized workflow extension '" + ext + "' (use .json or .dax)");
-}
-
-platform::Platform make_platform(const cli::Args& args) {
-  if (args.has("platform")) return platform::load_json(args.get("platform", ""));
-  const double contention = args.get_double("contention", 0.0);
-  return contention > 0 ? platform::paper_platform_with_contention(contention)
-                        : platform::paper_platform();
 }
 
 // ---- tolerant field parsing -------------------------------------------------
@@ -424,9 +406,8 @@ void read_vm_trace(const std::string& text, const std::string& path, sim::SimRes
 // ---- commands ---------------------------------------------------------------
 
 CheckReport lint_run(const cli::Args& args) {
-  const dag::Workflow wf =
-      load_workflow(args.positional_at(0, "workflow file"), args.get_double("sigma", 0.5));
-  const platform::Platform cloud = make_platform(args);
+  const dag::Workflow wf = cli::load_workflow(args, args.positional_at(0, "workflow file"));
+  const platform::Platform cloud = cli::make_platform(args);
   const std::filesystem::path dir = args.get("trace-dir", ".");
   const std::string tasks_path = args.get("tasks", (dir / "tasks.csv").string());
   const std::string vms_path = args.get("vms", (dir / "vms.csv").string());
@@ -448,9 +429,8 @@ CheckReport lint_run(const cli::Args& args) {
 }
 
 CheckReport lint_schedule(const cli::Args& args) {
-  const dag::Workflow wf =
-      load_workflow(args.positional_at(0, "workflow file"), args.get_double("sigma", 0.5));
-  const platform::Platform cloud = make_platform(args);
+  const dag::Workflow wf = cli::load_workflow(args, args.positional_at(0, "workflow file"));
+  const platform::Platform cloud = cli::make_platform(args);
   const std::string path = args.positional_at(1, "schedule file");
   const std::string text = read_file(path);
 
