@@ -54,18 +54,18 @@ int main() {
         request.budget = budget;
         request.config.repetitions = reps;
         request.config.seed = 4242;
-        request.config.faults.lambda_crash = lambda;
+        request.config.run.faults.lambda_crash = lambda;
         // Recovery may spend up to 1.5x the scheduling budget before the
         // engine degrades to already-paid VMs.
-        request.config.recovery.budget_cap = 1.5 * budget;
+        request.config.run.recovery.budget_cap = 1.5 * budget;
         request.tag = "lambda" + TablePrinter::num(lambda, 1);
         requests.push_back(std::move(request));
       }
     }
   }
 
-  ThreadPool pool;
-  const std::vector<exp::EvalResult> results = exp::run_parallel(cloud, requests, pool);
+  const std::vector<exp::EvalResult> results =
+      exp::run_requests(cloud, requests, /*threads=*/0);
 
   std::size_t index = 0;
   for (const dag::Workflow& wf : workflows) {

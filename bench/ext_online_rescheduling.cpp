@@ -18,12 +18,11 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "common/rng.hpp"
 #include "common/table.hpp"
-#include "dag/stochastic.hpp"
 #include "exp/budget_levels.hpp"
+#include "exp/evaluate.hpp"
+#include "obs/metrics.hpp"
 #include "sched/registry.hpp"
-#include "sim/simulator.hpp"
 
 int main() {
   using namespace cloudwf;
@@ -38,7 +37,6 @@ int main() {
     const auto levels = exp::compute_budget_levels(wf, cloud);
     const Dollars budget = 1.05 * levels.min_cost;
     const auto out = sched::make_scheduler("heft-budg")->schedule({wf, cloud, budget});
-    const sim::Simulator simulator(wf, cloud);
 
     TablePrinter table("online re-scheduling — " + std::string(pegasus::to_string(type)) +
                        " (" + std::to_string(tasks) + " tasks, sigma=mu, HEFTBUDG @ 1.05*min)");
@@ -46,22 +44,19 @@ int main() {
                    "migrations/run"});
 
     const auto evaluate_policy = [&](const std::string& label, const sim::RunOptions& options) {
-      Summary makespan;
-      Summary cost;
-      double migrations = 0;
-      const Rng base(4242);
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        Rng stream = base.fork(rep);
-        const dag::WeightRealization weights = dag::sample_weights(wf, stream);
-        const sim::SimResult r = simulator.run(out.schedule, weights, options);
-        makespan.add(r.makespan);
-        cost.add(r.total_cost());
-        migrations += static_cast<double>(r.migrations);
-      }
-      table.row({label, TablePrinter::pm(makespan.mean(), makespan.stddev(), 0),
-                 TablePrinter::num(makespan.quantile(0.95), 0),
-                 TablePrinter::num(cost.mean(), 4),
-                 TablePrinter::num(migrations / static_cast<double>(reps), 2)});
+      obs::MetricsRegistry metrics;  // counts the migrations
+      exp::EvalConfig config;
+      config.repetitions = reps;
+      config.seed = 4242;
+      config.run = options;
+      config.metrics = &metrics;
+      const exp::EvalResult r =
+          exp::evaluate_schedule(wf, cloud, out, "heft-budg", budget, config);
+      table.row({label, TablePrinter::pm(r.makespan.mean(), r.makespan.stddev(), 0),
+                 TablePrinter::num(r.makespan.quantile(0.95), 0),
+                 TablePrinter::num(r.cost.mean(), 4),
+                 TablePrinter::num(
+                     metrics.counter_value("migrations") / static_cast<double>(reps), 2)});
     };
 
     evaluate_policy("offline (paper)", {});

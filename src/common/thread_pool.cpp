@@ -8,10 +8,9 @@
 
 namespace cloudwf {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) workers_.emplace_back([this] { worker_loop(); });
+ThreadPool::ThreadPool(std::size_t workers) {
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -27,6 +26,10 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   require(static_cast<bool>(task), "ThreadPool::submit: empty task");
   std::packaged_task<void()> packaged(std::move(task));
   auto future = packaged.get_future();
+  if (workers_.empty()) {
+    packaged();
+    return future;
+  }
   {
     const std::lock_guard lock(mutex_);
     require(!stopping_, "ThreadPool::submit: pool is shutting down");
@@ -58,7 +61,7 @@ void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::s
   };
 
   std::vector<std::future<void>> futures;
-  const std::size_t helpers = std::min(workers_.size(), count > 0 ? count - 1 : 0);
+  const std::size_t helpers = std::min(workers_.size(), count - 1);
   futures.reserve(helpers);
   for (std::size_t i = 0; i < helpers; ++i) futures.push_back(submit(drain));
   drain();  // the caller participates too

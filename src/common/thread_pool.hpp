@@ -22,8 +22,9 @@ namespace cloudwf {
 /// Simple FIFO thread pool; tasks are std::function<void()>.
 class ThreadPool {
  public:
-  /// Spawns \p threads workers; 0 means std::thread::hardware_concurrency().
-  explicit ThreadPool(std::size_t threads = 0);
+  /// Spawns exactly \p workers threads.  A pool of 0 workers spawns none: it
+  /// runs submitted tasks and parallel_for bodies inline on the caller.
+  explicit ThreadPool(std::size_t workers);
 
   /// Drains the queue and joins all workers.
   ~ThreadPool();
@@ -34,8 +35,9 @@ class ThreadPool {
   /// Enqueues \p task; returns a future for its completion/exception.
   std::future<void> submit(std::function<void()> task);
 
-  /// Runs \p body(i) for i in [0, count) across the pool and waits;
-  /// the first exception (if any) is rethrown on the caller.
+  /// Runs \p body(i) for i in [0, count) on the workers and the caller,
+  /// so at most thread_count() + 1 bodies run at once, and waits; the first
+  /// exception (if any) is rethrown on the caller.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
 
   [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }

@@ -144,13 +144,8 @@ CampaignResult run_campaign(const platform::Platform& platform, const CampaignCo
     result.journal_path = path.string();
   }
 
-  std::vector<EvalResult> results;
-  if (config.threads == 1) {
-    results = run_serial(platform, requests, policy);
-  } else {
-    ThreadPool pool(config.threads);
-    results = run_parallel(platform, requests, pool, policy);
-  }
+  const std::vector<EvalResult> results =
+      run_requests(platform, requests, config.threads, policy);
   // Phase 3: aggregation (deterministic request order).  Degraded cells
   // carry no sample data; they are counted, not averaged.
   std::size_t index = 0;

@@ -44,10 +44,10 @@ struct CampaignConfig {
   /// HEFTBUDG+ live in the narrow band just above the minimum budget, so a
   /// full-range sweep would step over them.
   double high_budget_cap_factor = 0.0;
-  /// Worker threads for the evaluation matrix; 0 = hardware concurrency,
-  /// 1 = serial.  Results are bit-identical regardless of thread count
-  /// (per-point seeding); only the sched_time metric gets noisier under
-  /// contention.
+  /// Threads that evaluate the matrix, the caller's included (run_requests);
+  /// 0 = hardware concurrency, 1 = serial.  Results are bit-identical
+  /// regardless of thread count (per-point seeding); only the sched_time
+  /// metric gets noisier under contention.
   std::size_t threads = 1;
   /// When non-empty, every completed cell is journaled to
   /// `<checkpoint_dir>/campaign-<family>-<confighash>.jsonl` the moment it
@@ -98,8 +98,7 @@ struct CampaignResult {
   std::string journal_path;         ///< checkpoint journal (empty when disabled)
 };
 
-/// Runs the campaign (single-threaded; bench binaries parallelize by
-/// running several campaigns through a ThreadPool if desired).
+/// Runs the campaign, evaluating its matrix on config.threads threads.
 [[nodiscard]] CampaignResult run_campaign(const platform::Platform& platform,
                                           const CampaignConfig& config);
 

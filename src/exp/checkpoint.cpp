@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -116,16 +117,26 @@ std::string fingerprint_request(const RunRequest& request, std::uint64_t salt) {
   h.u64(c.repetitions);
   h.u64(c.seed);
   h.f64(c.deadline);
-  h.f64(c.faults.p_boot_fail);
-  h.f64(c.faults.lambda_crash);
-  h.f64(c.faults.p_transfer_fail);
-  h.f64(c.faults.acquisition_delay);
-  h.u64(c.faults.seed);
-  h.u64(c.recovery.max_boot_attempts);
-  h.u64(c.recovery.max_task_retries);
-  h.u64(c.recovery.max_transfer_retries);
-  h.f64(c.recovery.transfer_backoff_base);
-  h.f64(c.recovery.budget_cap);
+  const sim::FaultModel& faults = c.run.faults;
+  h.f64(faults.p_boot_fail);
+  h.f64(faults.lambda_crash);
+  h.f64(faults.p_transfer_fail);
+  h.f64(faults.acquisition_delay);
+  h.u64(faults.seed);
+  const sim::RecoveryPolicy& recovery = c.run.recovery;
+  h.u64(recovery.max_boot_attempts);
+  h.u64(recovery.max_task_retries);
+  h.u64(recovery.max_transfer_retries);
+  h.f64(recovery.transfer_backoff_base);
+  h.f64(recovery.budget_cap);
+  // Mixed in only when set: a request without an online policy keeps the
+  // fingerprint it had before the policy was hashed, so old journals resume.
+  if (const std::optional<sim::OnlinePolicy>& online = c.run.online) {
+    h.f64(online->timeout_sigmas);
+    h.u64(online->max_restarts);
+    h.f64(online->min_speedup);
+    h.f64(online->budget_cap);
+  }
   return hex64(h.value());
 }
 

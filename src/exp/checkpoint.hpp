@@ -36,8 +36,9 @@ namespace cloudwf::exp {
 [[nodiscard]] EvalResult eval_result_from_json(const Json& json);
 
 /// Deterministic fingerprint of one request: FNV-1a over the workflow
-/// identity, algorithm, budget bits, repetition/seed/deadline/fault
-/// parameters and tag, mixed with \p salt (a campaign-level config hash).
+/// identity, algorithm, budget bits, repetition/seed/deadline parameters,
+/// the run options (fault model, recovery, online policy when set) and tag,
+/// mixed with \p salt (a campaign-level config hash).
 /// Two requests with the same fingerprint produce bit-identical results.
 [[nodiscard]] std::string fingerprint_request(const RunRequest& request,
                                               std::uint64_t salt = 0);

@@ -100,13 +100,12 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
     // Scoped so the simulator's engine arena is freed before the quantiles
     // below copy the pooled waits.
     const sim::Simulator simulator(wf, platform);
-    sim::RunOptions options;
-    options.recovery = config.recovery;
+    sim::RunOptions options = config.run;
     for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
       check_deadline(deadline, algorithm, "repetition " + std::to_string(rep), config);
       Rng stream = base.fork(rep);
       const dag::WeightRealization weights = dag::sample_weights(wf, stream);
-      options.faults = config.faults.for_repetition(rep);
+      options.faults = config.run.faults.for_repetition(rep);
       const sim::SimResult run = simulator.run(output.schedule, weights, options);
       result.makespan.add(run.makespan);
       result.cost.add(run.total_cost());

@@ -18,7 +18,7 @@
 #include "dag/workflow.hpp"
 #include "platform/platform.hpp"
 #include "sched/scheduler.hpp"
-#include "sim/faults.hpp"
+#include "sim/simulator.hpp"
 
 namespace cloudwf::obs {
 class MetricsRegistry;
@@ -36,17 +36,17 @@ struct EvalConfig {
   std::uint64_t seed = 0x5EEDu;   ///< base seed; realization r forks stream r
   bool measure_cpu_time = false;  ///< time the scheduling call (Table III)
   Seconds deadline = 0;           ///< D of Eq. (3); 0 = no deadline
-  /// Fault injection (disabled by default).  Repetition r runs with
-  /// faults.for_repetition(r), so results are reproducible and identical
-  /// under run_serial and run_parallel.
-  sim::FaultModel faults;
-  sim::RecoveryPolicy recovery;  ///< used only when faults are enabled
+  /// How every repetition executes: the online policy, or the fault model
+  /// and its recovery (static and fault-free by default).  Repetition r runs
+  /// with run.faults.for_repetition(r), so results are reproducible and
+  /// identical at any thread count of run_requests.
+  sim::RunOptions run;
   /// Wall-clock watchdog for the whole evaluation (scheduling + all
   /// repetitions); 0 disables it.  The deadline is checked after the
   /// scheduling call and between repetitions (cooperative granularity: a
   /// single scheduler invocation is never preempted mid-flight), throwing
-  /// TimeoutError when exceeded.  run_serial/run_parallel capture that
-  /// into a `timed_out` cell instead of aborting the sweep.
+  /// TimeoutError when exceeded.  run_requests captures that into a
+  /// `timed_out` cell instead of aborting the sweep.
   Seconds run_timeout = 0;
   /// Optional observability hook: when non-null, every repetition records
   /// its run metrics (queue waits, VM utilization, fault counters, budget

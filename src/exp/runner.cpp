@@ -1,5 +1,6 @@
 #include "exp/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -10,6 +11,7 @@
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 #include "exp/checkpoint.hpp"
 #include "sched/plan.hpp"
 
@@ -45,7 +47,7 @@ EvalResult degraded_result(const RunRequest& request, RunStatus status,
 }
 
 /// Evaluates one request under \p policy: journal replay, watchdog,
-/// exception capture, journal record.  Interrupted always propagates.
+/// exception capture, journal record.  Interrupted propagates.
 /// \p plans shares budget-independent workflow analyses across the matrix
 /// (bit-identical results; see sched/plan.hpp).
 EvalResult evaluate_request(const platform::Platform& platform, const RunRequest& request,
@@ -65,10 +67,8 @@ EvalResult evaluate_request(const platform::Platform& platform, const RunRequest
   } catch (const Interrupted&) {
     throw;
   } catch (const TimeoutError& error) {
-    if (!policy.capture_errors) throw;
     result = degraded_result(request, RunStatus::timed_out, error);
   } catch (const std::exception& error) {
-    if (!policy.capture_errors) throw;
     result = degraded_result(request, RunStatus::errored, error);
   }
   // Only completed cells become durable; degraded ones are retried on
@@ -132,32 +132,28 @@ void throw_if_interrupted() {
     throw Interrupted("runner: stop requested (SIGINT/SIGTERM); journaled cells are durable");
 }
 
-std::vector<EvalResult> run_parallel(const platform::Platform& platform,
-                                     std::span<const RunRequest> requests, ThreadPool& pool,
+std::vector<EvalResult> run_requests(const platform::Platform& platform,
+                                     std::span<const RunRequest> requests, std::size_t threads,
                                      const RunPolicy& policy) {
   check_requests(requests);
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   std::vector<EvalResult> results(requests.size());
   Heartbeat heartbeat(requests.size());
   sched::PlanCache plans;  // shared across cells; PlanCache::get is thread-safe
+  // An exception that escapes a cell (Interrupted, a failed journal append)
+  // ends the matrix: cells not yet started are skipped, not computed and lost.
+  std::atomic<bool> stop{false};
+  ThreadPool pool(threads - 1);  // the caller is the remaining thread
   pool.parallel_for(requests.size(), [&](std::size_t i) {
-    results[i] = evaluate_request(platform, requests[i], policy, plans);
+    if (stop.load()) return;
+    try {
+      results[i] = evaluate_request(platform, requests[i], policy, plans);
+    } catch (...) {
+      stop.store(true);
+      throw;
+    }
     heartbeat.cell_done(requests[i], results[i]);
   });
-  return results;
-}
-
-std::vector<EvalResult> run_serial(const platform::Platform& platform,
-                                   std::span<const RunRequest> requests,
-                                   const RunPolicy& policy) {
-  check_requests(requests);
-  std::vector<EvalResult> results;
-  results.reserve(requests.size());
-  Heartbeat heartbeat(requests.size());
-  sched::PlanCache plans;
-  for (const RunRequest& request : requests) {
-    results.push_back(evaluate_request(platform, request, policy, plans));
-    heartbeat.cell_done(request, results.back());
-  }
   return results;
 }
 

@@ -6,16 +6,16 @@
 /// Every cloudwf component is a pure function of its inputs and seeds, so an
 /// experiment matrix parallelizes trivially: requests are evaluated across a
 /// ThreadPool and results land at their request's index regardless of
-/// execution order — output is bit-identical to a serial run.
+/// execution order — output is bit-identical at any thread count.
 ///
-/// The runner is also the campaign's crash containment layer: with the
-/// default RunPolicy a throwing or watchdog-timed-out request becomes a
-/// degraded (`errored` / `timed_out`) result cell instead of tearing down
-/// the whole sweep, completed cells can be journaled for resume, and a
-/// SIGINT/SIGTERM (via request_interrupt()) stops the matrix at the next
-/// cell boundary with everything already journaled.
+/// The runner is also the campaign's crash containment layer: a throwing or
+/// watchdog-timed-out request becomes a degraded (`errored` / `timed_out`)
+/// result cell instead of tearing down the whole sweep, completed cells can
+/// be journaled for resume, and a SIGINT/SIGTERM (via request_interrupt())
+/// stops the matrix at the next cell boundary with everything already
+/// journaled.
 ///
-/// Both entry points own a sched::PlanCache for the duration of the matrix:
+/// run_requests owns a sched::PlanCache for the duration of the matrix:
 /// cells evaluating the same (workflow, platform) pair share one set of
 /// budget-independent analyses (ranks, levels, Algorithm 1's time model)
 /// instead of recomputing them per cell.  Results are bit-identical either
@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "exp/evaluate.hpp"
 
 namespace cloudwf::exp {
@@ -47,10 +46,6 @@ struct RunPolicy {
   /// Per-request wall-clock watchdog (seconds); 0 disables it.  Overrides
   /// EvalConfig::run_timeout for every request when positive.
   Seconds run_timeout = 0;
-  /// Capture exceptions from individual requests into degraded result
-  /// cells (the default).  When false the first exception propagates —
-  /// the pre-durability behavior.  Interrupted always propagates.
-  bool capture_errors = true;
   /// When set, completed cells are replayed from / recorded to this
   /// journal (see checkpoint.hpp).  The journal must outlive the run.
   CheckpointJournal* journal = nullptr;
@@ -58,19 +53,16 @@ struct RunPolicy {
   std::uint64_t fingerprint_salt = 0;
 };
 
-/// Evaluates all \p requests over \p pool; results are index-aligned with
-/// the requests.  Degraded cells are recorded per RunPolicy; Interrupted
-/// (and, with capture_errors off, the first exception) is rethrown after
-/// the pool drains.
-[[nodiscard]] std::vector<EvalResult> run_parallel(const platform::Platform& platform,
+/// Evaluates all \p requests on \p threads threads, the caller's included
+/// (0 = hardware concurrency; 1 runs inline and spawns no thread); results
+/// are index-aligned with the requests.  A request that throws becomes a
+/// degraded cell.  An exception that escapes a cell (Interrupted, a failed
+/// journal append) skips the cells not yet started and is rethrown once
+/// every thread has stopped.
+[[nodiscard]] std::vector<EvalResult> run_requests(const platform::Platform& platform,
                                                    std::span<const RunRequest> requests,
-                                                   ThreadPool& pool,
+                                                   std::size_t threads,
                                                    const RunPolicy& policy = {});
-
-/// Serial variant with identical semantics.
-[[nodiscard]] std::vector<EvalResult> run_serial(const platform::Platform& platform,
-                                                 std::span<const RunRequest> requests,
-                                                 const RunPolicy& policy = {});
 
 /// Writes one CSV row per (request, result): workflow, algorithm, budget,
 /// tag, prediction, per-repetition aggregates, validity fractions and the

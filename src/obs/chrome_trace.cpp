@@ -163,6 +163,12 @@ void ChromeTraceSink::on_event(const Event& event) {
       break;
     }
     case EventKind::task_dispatch:
+      // A re-dispatch (detail "migration" or "recovery") is the only record
+      // of a move; a first dispatch is implied by the task's slice.
+      if (event.detail.empty()) break;
+      ensure_track(vm_track(vm, 0), vm_name(""));
+      push_instant(event, vm_track(vm, 0), "task");
+      break;
     case EventKind::task_start:
     case EventKind::transfer_start:
       // Start edges are implied by the *_finish/_done slices (ts = end -

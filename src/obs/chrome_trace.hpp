@@ -7,8 +7,9 @@
 ///  * every VM gets three tracks (threads): compute, uplink, downlink;
 ///  * tasks and transfers become complete ("X") slices with their real
 ///    simulated duration;
-///  * faults, retries, billing ticks and VM lifecycle edges become
-///    instant ("i") events;
+///  * faults, retries, billing ticks, VM lifecycle edges and the
+///    re-dispatches of moved tasks (migration / recovery) become instant
+///    ("i") events;
 ///  * scheduler decisions live on a dedicated "scheduler" track, one
 ///    instant per decision with the candidate-set/budget rationale in
 ///    args.

@@ -23,7 +23,7 @@
 /// generator, consumed in deterministic event order, so a faulty execution
 /// is exactly as reproducible as a fault-free one: identical
 /// (schedule, weights, FaultModel) inputs give bit-identical SimResults
-/// whether evaluated serially or across exp::run_parallel workers.
+/// at any thread count of exp::run_requests.
 ///
 /// Recovery is governed by RecoveryPolicy, which generalizes the spend-guard
 /// idea of sim::OnlinePolicy: bounded retries everywhere, and a per-workflow

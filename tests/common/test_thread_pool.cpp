@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -73,9 +75,34 @@ TEST(ThreadPool, EmptyTaskRejected) {
   EXPECT_THROW((void)pool.submit({}), InvalidArgument);
 }
 
-TEST(ThreadPool, DefaultsToHardwareConcurrency) {
-  const ThreadPool pool;
-  EXPECT_GE(pool.thread_count(), 1u);
+TEST(ThreadPool, ZeroWorkersRunEveryBodyOnTheCaller) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.thread_count(), 0u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(20);
+  pool.parallel_for(ran.size(), [&](std::size_t i) { ran[i] = std::this_thread::get_id(); });
+  for (const std::thread::id id : ran) EXPECT_EQ(id, caller);
+  std::thread::id submitted;
+  pool.submit([&] { submitted = std::this_thread::get_id(); }).get();
+  EXPECT_EQ(submitted, caller);
+}
+
+TEST(ThreadPool, NeverRunsMoreThanWorkersPlusCaller) {
+  for (const std::size_t workers : {0u, 1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    std::atomic<std::size_t> running{0};
+    std::atomic<std::size_t> peak{0};
+    pool.parallel_for(64, [&](std::size_t) {
+      const std::size_t now = running.fetch_add(1) + 1;
+      std::size_t seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      running.fetch_sub(1);
+    });
+    EXPECT_GE(peak.load(), 1u) << workers;
+    EXPECT_LE(peak.load(), workers + 1) << workers;
+  }
 }
 
 TEST(ThreadPool, SingleThreadStillWorksFromWorkerContext) {

@@ -157,6 +157,42 @@ TEST_F(CheckpointTest, FingerprintSeparatesRequests) {
   EXPECT_NE(fingerprint_request(base, 43), fp);  // different campaign salt
 }
 
+TEST_F(CheckpointTest, FaultRequestFingerprintIsPinned) {
+  // Journals written by earlier builds must keep resuming: the fingerprint
+  // of a fault-enabled request is pinned to the value it always had.
+  const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {15, 1, 0.5});
+  RunRequest request;
+  request.wf = &wf;
+  request.algorithm = "heft-budg";
+  request.budget = 2.5;
+  request.tag = "inst=0;b=1";
+  request.config.repetitions = 7;
+  request.config.seed = 99;
+  request.config.run.faults.lambda_crash = 1.5;
+  request.config.run.faults.p_transfer_fail = 0.02;
+  request.config.run.faults.seed = 77;
+  request.config.run.recovery.budget_cap = 5.0;
+  request.config.run.recovery.max_task_retries = 3;
+  EXPECT_EQ(fingerprint_request(request, 42), "f07b23e900964b04");
+}
+
+TEST_F(CheckpointTest, FingerprintSeparatesOnlinePolicies) {
+  const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {15, 1, 0.5});
+  RunRequest offline;
+  offline.wf = &wf;
+  offline.algorithm = "heft-budg";
+  offline.budget = 2.0;
+  RunRequest online = offline;
+  online.config.run.online.emplace();
+  EXPECT_NE(fingerprint_request(online), fingerprint_request(offline));
+  RunRequest tighter = online;
+  tighter.config.run.online->timeout_sigmas = 1.0;
+  EXPECT_NE(fingerprint_request(tighter), fingerprint_request(online));
+  RunRequest capped = online;
+  capped.config.run.online->budget_cap = 3.0;
+  EXPECT_NE(fingerprint_request(capped), fingerprint_request(online));
+}
+
 TEST_F(CheckpointTest, JournalRecordsAndReloads) {
   const EvalResult result = sample_result();
   {

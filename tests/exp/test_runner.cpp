@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <sstream>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "exp/campaign.hpp"
+#include "exp/checkpoint.hpp"
+#include "obs/metrics.hpp"
 #include "pegasus/generator.hpp"
 #include "platform/platform.hpp"
 
@@ -39,9 +42,8 @@ TEST(Runner, ParallelMatchesSerialBitForBit) {
   const auto platform = platform::paper_platform();
   const auto requests = make_matrix(wf);
 
-  const auto serial = run_serial(platform, requests);
-  ThreadPool pool(4);
-  const auto parallel = run_parallel(platform, requests, pool);
+  const auto serial = run_requests(platform, requests, 1);
+  const auto parallel = run_requests(platform, requests, 4);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -59,14 +61,13 @@ TEST(Runner, FaultInjectionParallelMatchesSerialBitForBit) {
   const auto platform = platform::paper_platform();
   auto requests = make_matrix(wf);
   for (RunRequest& request : requests) {
-    request.config.faults.lambda_crash = 2.0;
-    request.config.faults.p_transfer_fail = 0.05;
-    request.config.recovery.budget_cap = 3.0 * request.budget;
+    request.config.run.faults.lambda_crash = 2.0;
+    request.config.run.faults.p_transfer_fail = 0.05;
+    request.config.run.recovery.budget_cap = 3.0 * request.budget;
   }
 
-  const auto serial = run_serial(platform, requests);
-  ThreadPool pool(4);
-  const auto parallel = run_parallel(platform, requests, pool);
+  const auto serial = run_requests(platform, requests, 1);
+  const auto parallel = run_requests(platform, requests, 4);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -84,8 +85,7 @@ TEST(Runner, ResultsAreIndexAligned) {
   const auto wf = pegasus::generate(pegasus::WorkflowType::ligo, {22, 4, 0.5});
   const auto platform = platform::paper_platform();
   const auto requests = make_matrix(wf);
-  ThreadPool pool(3);
-  const auto results = run_parallel(platform, requests, pool);
+  const auto results = run_requests(platform, requests, 3);
   for (std::size_t i = 0; i < requests.size(); ++i)
     EXPECT_EQ(results[i].algorithm, requests[i].algorithm) << i;
 }
@@ -93,14 +93,14 @@ TEST(Runner, ResultsAreIndexAligned) {
 TEST(Runner, RejectsMalformedRequests) {
   const auto platform = platform::paper_platform();
   std::vector<RunRequest> requests(1);  // null workflow
-  EXPECT_THROW((void)run_serial(platform, requests), InvalidArgument);
+  EXPECT_THROW((void)run_requests(platform, requests, 1), InvalidArgument);
 }
 
 TEST(Runner, CsvContainsOneRowPerRequest) {
   const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {15, 4, 0.5});
   const auto platform = platform::paper_platform();
   const auto requests = make_matrix(wf);
-  const auto results = run_serial(platform, requests);
+  const auto results = run_requests(platform, requests, 1);
 
   std::ostringstream os;
   write_results_csv(os, requests, results);
@@ -119,7 +119,7 @@ TEST(Runner, CsvRoundTripsThroughParser) {
   // round trip (plot scripts read these files back).
   requests[0].tag = "b=1.0, \"quick\" look";
   requests[1].tag = "multi\nline tag";
-  const auto results = run_serial(platform, requests);
+  const auto results = run_requests(platform, requests, 1);
 
   std::ostringstream os;
   write_results_csv(os, requests, results);
@@ -154,8 +154,7 @@ TEST(Runner, ThrowingAlgorithmBecomesErroredCellMidMatrix) {
   const std::size_t bad = requests.size() / 2;
   requests[bad].algorithm = "no-such-algorithm";
 
-  ThreadPool pool(4);
-  const auto results = run_parallel(platform, requests, pool);
+  const auto results = run_requests(platform, requests, 4);
 
   ASSERT_EQ(results.size(), requests.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -179,16 +178,6 @@ TEST(Runner, ThrowingAlgorithmBecomesErroredCellMidMatrix) {
   EXPECT_EQ(rows[1 + bad][12], "nan");  // makespan_mean column
 }
 
-TEST(Runner, CaptureErrorsOffPropagatesTheException) {
-  const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {15, 4, 0.5});
-  const auto platform = platform::paper_platform();
-  auto requests = make_matrix(wf);
-  requests[0].algorithm = "no-such-algorithm";
-  RunPolicy policy;
-  policy.capture_errors = false;
-  EXPECT_THROW((void)run_serial(platform, requests, policy), InvalidArgument);
-}
-
 TEST(Runner, WatchdogTimeoutBecomesTimedOutCell) {
   const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {15, 4, 0.5});
   const auto platform = platform::paper_platform();
@@ -199,7 +188,7 @@ TEST(Runner, WatchdogTimeoutBecomesTimedOutCell) {
   requests[0].config.repetitions = 4;
   RunPolicy policy;
   policy.run_timeout = 1e-9;  // expires before the first deadline check
-  const auto results = run_serial(platform, requests, policy);
+  const auto results = run_requests(platform, requests, 1, policy);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, RunStatus::timed_out);
   EXPECT_EQ(results[0].error_kind, ErrorKind::timeout);
@@ -212,18 +201,47 @@ TEST(Runner, InterruptStopsTheSweep) {
   const auto requests = make_matrix(wf);
   request_interrupt();
   // Interrupted is a shutdown request, not a per-cell failure: it must
-  // propagate even though capture_errors defaults to true.
-  EXPECT_THROW((void)run_serial(platform, requests), Interrupted);
+  // propagate instead of becoming a degraded cell.
+  EXPECT_THROW((void)run_requests(platform, requests, 1), Interrupted);
   clear_interrupt();
   EXPECT_FALSE(interrupt_requested());
-  EXPECT_EQ(run_serial(platform, requests).size(), requests.size());
+  EXPECT_EQ(run_requests(platform, requests, 1).size(), requests.size());
+}
+
+TEST(Runner, FailedJournalAppendStopsTheMatrix) {
+  // A journal append that fails (the disk is full) escapes its cell; cells
+  // not yet started are skipped instead of computed and lost, so each thread
+  // evaluates at most the one cell it was on.
+  namespace fs = std::filesystem;
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "needs /dev/full";
+  const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {15, 4, 0.5});
+  const auto platform = platform::paper_platform();
+  const fs::path dir = fs::temp_directory_path() / "cloudwf_runner_full_disk";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const fs::path path = dir / "journal.jsonl";
+  fs::create_symlink("/dev/full", path);
+  CheckpointJournal journal(path.string(), /*resume=*/false);
+  RunPolicy policy;
+  policy.journal = &journal;
+  for (const std::size_t threads : {1u, 4u}) {
+    auto requests = make_matrix(wf);
+    std::vector<obs::MetricsRegistry> evaluated(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) requests[i].config.metrics = &evaluated[i];
+    EXPECT_THROW((void)run_requests(platform, requests, threads, policy), IoError);
+    const auto started = std::count_if(evaluated.begin(), evaluated.end(),
+                                       [](const obs::MetricsRegistry& m) { return !m.empty(); });
+    EXPECT_GE(started, 1) << threads;
+    EXPECT_LE(static_cast<std::size_t>(started), threads) << threads;
+  }
+  fs::remove_all(dir);
 }
 
 TEST(Runner, CsvRejectsMismatchedSpans) {
   const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {15, 4, 0.5});
   const auto platform = platform::paper_platform();
   const auto requests = make_matrix(wf);
-  auto results = run_serial(platform, requests);
+  auto results = run_requests(platform, requests, 1);
   results.pop_back();
   std::ostringstream os;
   EXPECT_THROW(write_results_csv(os, requests, results), InvalidArgument);

@@ -10,6 +10,8 @@
 #include "common/error.hpp"
 #include "dag/stochastic.hpp"
 #include "exp/budget_levels.hpp"
+#include "exp/evaluate.hpp"
+#include "obs/metrics.hpp"
 #include "pegasus/generator.hpp"
 #include "sched/registry.hpp"
 #include "sim/simulator.hpp"
@@ -272,6 +274,42 @@ TEST(Online, HighUncertaintyWorkflowStaysSoundUnderMigrations) {
   }
   EXPECT_GT(total_migrations, 0u);
   EXPECT_LE(online_total, offline_total * 1.05);
+}
+
+TEST(Online, EvaluateScheduleMatchesTheHandLoop) {
+  // Online runs go through the same realization loop as offline ones: the
+  // samples of exp::evaluate_schedule equal a hand loop of Simulator::run
+  // with the same options and seed, and its registry counts the same
+  // migrations.
+  const auto wf = pegasus::generate(pegasus::WorkflowType::cybershake, {23, 3, 1.0});
+  const auto platform = platform::paper_platform();
+  const Dollars budget = 1.05 * exp::compute_budget_levels(wf, platform).min_cost;
+  const auto out = sched::make_scheduler("heft-budg")->schedule({wf, platform, budget});
+  exp::EvalConfig config;
+  config.repetitions = 20;
+  config.seed = 4242;
+  config.run.online.emplace().timeout_sigmas = 1.5;
+  obs::MetricsRegistry metrics;
+  config.metrics = &metrics;
+  const exp::EvalResult result =
+      exp::evaluate_schedule(wf, platform, out, "heft-budg", budget, config);
+
+  const Simulator sim(wf, platform);
+  const Rng base(config.seed);
+  std::vector<double> makespans;
+  std::vector<double> costs;
+  double migrations = 0;
+  for (std::size_t rep = 0; rep < config.repetitions; ++rep) {
+    Rng stream = base.fork(rep);
+    const SimResult r = sim.run(out.schedule, dag::sample_weights(wf, stream), config.run);
+    makespans.push_back(r.makespan);
+    costs.push_back(r.total_cost());
+    migrations += static_cast<double>(r.migrations);
+  }
+  EXPECT_EQ(result.makespan.values(), makespans);
+  EXPECT_EQ(result.cost.values(), costs);
+  EXPECT_GT(migrations, 0);
+  EXPECT_EQ(metrics.counter_value("migrations"), migrations);
 }
 
 TEST(Online, InvalidPolicyRejected) {

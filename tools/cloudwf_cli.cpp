@@ -19,12 +19,16 @@
 ///             [--fault-seed S] [--recovery-budget-cap C]
 ///             [--recovery-max-task-retries 2] [--recovery-max-boot-attempts 3]
 ///             [--recovery-max-transfer-retries 3] [--recovery-transfer-backoff 1]
-///   sweep     <wf> [--algorithms LIST|all] [--points 6]
-///             [--reps 10] [--threads N] [--csv raw.csv] [--run-timeout S]
-///             [--fault-* as above]
+///   sweep     <wf> [--algorithms LIST|all] [--points 6] [--reps 10] [--seed 7]
+///             [--threads N] [--csv raw.csv] [--run-timeout S]
+///             [--fault-* / --recovery-* as above]
 ///   campaign  --type montage [--tasks 90] [--instances 3] [--sigma 0.5]
-///             [--algorithms LIST|all] [--points 6] [--reps 10] [--threads N]
-///             [--checkpoint-dir DIR] [--resume] [--run-timeout S]
+///             [--algorithms LIST|all] [--points 6] [--reps 10] [--seed 42]
+///             [--low-factor 1.0] [--threads N] [--checkpoint-dir DIR]
+///             [--resume] [--run-timeout S]
+///
+/// --threads N evaluates the matrix on N threads in all, the calling thread
+/// included (default 1; 0 = one per hardware thread).
 ///
 /// Every command also takes --profile; info, schedule, simulate, sweep and
 /// campaign take --platform / --contention, and commands that read a
@@ -32,9 +36,9 @@
 /// the command does not read is an error, as is a number that does not
 /// parse in full (or a negative count); --online runs the policy alone, so
 /// it refuses every --fault-*, --recovery-* and --deadline flag, and
-/// --timeout-sigmas / --budget-cap need --online.  Each simulated execution
-/// is one sim::Simulator::run() whose RunOptions carry the online policy or
-/// the fault model.
+/// --timeout-sigmas / --budget-cap need --online.  simulate runs every
+/// repetition through exp::evaluate_schedule, whose RunOptions carry the
+/// online policy or the fault model.
 ///
 /// Algorithm lists come from the scheduler registry: sweep defaults to every
 /// budget-aware non-refining algorithm, campaign to every non-refining one
@@ -66,6 +70,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <set>
 #include <string_view>
@@ -98,23 +103,6 @@
 namespace {
 
 using namespace cloudwf;
-
-constexpr const char* usage = R"(cloudwf — budget-aware workflow scheduling toolbox
-
-usage: cloudwf <command> [args]
-
-commands:
-  generate   synthesize a CYBERSHAKE/LIGO/MONTAGE instance
-  info       show structure and metrics of a workflow file
-  convert    convert between .json, .dax and .dot
-  schedule   compute a schedule and its deterministic prediction
-  simulate   execute a schedule against stochastic weights
-  sweep      compare algorithms across a budget sweep
-  campaign   multi-instance figure-style campaign for one family
-  help       print this message
-
-run `cloudwf <command> --help` conventions: see the header of tools/cloudwf_cli.cpp.
-)";
 
 std::string extension(const std::string& path) {
   return std::filesystem::path(path).extension().string();
@@ -194,21 +182,20 @@ std::vector<std::string> resolve_algorithms(std::vector<std::string> algorithms)
 }
 
 /// Reads the --fault-* / --recovery-* knobs shared by simulate and sweep.
-void read_fault_args(const cli::Args& args, exp::EvalConfig& config) {
-  config.faults.p_boot_fail = args.get_double("fault-p-boot-fail", 0.0);
-  config.faults.lambda_crash = args.get_double("fault-lambda-crash", 0.0);
-  config.faults.p_transfer_fail = args.get_double("fault-p-transfer-fail", 0.0);
-  config.faults.acquisition_delay = args.get_double("fault-acquisition-delay", 60.0);
-  config.faults.seed = args.get_size("fault-seed", 0xFA177ULL);
-  config.recovery.budget_cap = args.has("recovery-budget-cap")
-                                   ? args.get_double("recovery-budget-cap", 0)
-                                   : std::numeric_limits<Dollars>::infinity();
-  config.recovery.max_task_retries = args.get_size("recovery-max-task-retries", 2);
-  config.recovery.max_boot_attempts = args.get_size("recovery-max-boot-attempts", 3);
-  config.recovery.max_transfer_retries = args.get_size("recovery-max-transfer-retries", 3);
-  config.recovery.transfer_backoff_base = args.get_double("recovery-transfer-backoff", 1.0);
-  config.faults.validate();
-  config.recovery.validate();
+void read_fault_args(const cli::Args& args, sim::RunOptions& run) {
+  run.faults.p_boot_fail = args.get_double("fault-p-boot-fail", 0.0);
+  run.faults.lambda_crash = args.get_double("fault-lambda-crash", 0.0);
+  run.faults.p_transfer_fail = args.get_double("fault-p-transfer-fail", 0.0);
+  run.faults.acquisition_delay = args.get_double("fault-acquisition-delay", 60.0);
+  run.faults.seed = args.get_size("fault-seed", 0xFA177ULL);
+  run.recovery.budget_cap = args.has("recovery-budget-cap")
+                                ? args.get_double("recovery-budget-cap", 0)
+                                : std::numeric_limits<Dollars>::infinity();
+  run.recovery.max_task_retries = args.get_size("recovery-max-task-retries", 2);
+  run.recovery.max_boot_attempts = args.get_size("recovery-max-boot-attempts", 3);
+  run.recovery.max_transfer_retries = args.get_size("recovery-max-transfer-retries", 3);
+  run.recovery.transfer_backoff_base = args.get_double("recovery-transfer-backoff", 1.0);
+  run.validate();
 }
 
 int cmd_generate(const cli::Args& args) {
@@ -319,46 +306,24 @@ int cmd_simulate(const cli::Args& args) {
   const Dollars budget = args.has("budget") ? args.get_double("budget", 0)
                                             : exp::compute_budget_levels(wf, cloud).medium;
 
-  ObsOptions obs_options(args);
-  const sched::SchedulerInput input =
-      sched::make_input(wf, cloud, budget, obs_options.bus_or_null());
-  const auto out = sched::make_scheduler(algorithm)->schedule(input);
-  const sim::Simulator simulator(wf, cloud);
-
-  if (online) {
-    sim::RunOptions options;
-    sim::OnlinePolicy& policy = options.online.emplace();
-    policy.timeout_sigmas = args.get_double("timeout-sigmas", 2.0);
-    policy.budget_cap = args.has("budget-cap")
-                            ? args.get_double("budget-cap", 0)
-                            : std::numeric_limits<Dollars>::infinity();
-    Summary makespan;
-    Summary cost;
-    double migrations = 0;
-    const Rng base(args.get_size("seed", 7));
-    const std::size_t reps = args.get_size("reps", 25);
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      Rng stream = base.fork(rep);
-      const sim::SimResult r =
-          simulator.run(out.schedule, dag::sample_weights(wf, stream), options);
-      makespan.add(r.makespan);
-      cost.add(r.total_cost());
-      migrations += static_cast<double>(r.migrations);
-    }
-    std::cout << "online (" << reps << " runs): makespan "
-              << TablePrinter::pm(makespan.mean(), makespan.stddev(), 1) << " s, cost $"
-              << TablePrinter::num(cost.mean(), 4) << ", "
-              << migrations / static_cast<double>(reps) << " migrations/run\n";
-    obs_options.finish();  // scheduler decisions only; online runs untraced
-    return 0;
-  }
-
   exp::EvalConfig config;
   config.repetitions = args.get_size("reps", 25);
   config.seed = args.get_size("seed", 7);
   config.deadline = args.get_double("deadline", 0);
-  read_fault_args(args, config);
-  if (obs_options.want_metrics()) config.metrics = &obs_options.metrics;
+  if (online) {
+    sim::OnlinePolicy& policy = config.run.online.emplace();
+    policy.timeout_sigmas = args.get_double("timeout-sigmas", 2.0);
+    policy.budget_cap = args.has("budget-cap") ? args.get_double("budget-cap", 0)
+                                               : std::numeric_limits<Dollars>::infinity();
+  }
+  read_fault_args(args, config.run);
+
+  ObsOptions obs_options(args);
+  const sched::SchedulerInput input =
+      sched::make_input(wf, cloud, budget, obs_options.bus_or_null());
+  const auto out = sched::make_scheduler(algorithm)->schedule(input);
+  // Online runs count their migrations in the registry.
+  if (online || obs_options.want_metrics()) config.metrics = &obs_options.metrics;
   const exp::EvalResult r = exp::evaluate_schedule(wf, cloud, out, algorithm, budget, config);
 
   // Traced execution: repetition 0 re-run with the event bus attached, so
@@ -366,12 +331,21 @@ int cmd_simulate(const cli::Args& args) {
   // evaluation loop itself stays on the zero-overhead path).
   if (obs_options.bus_or_null() != nullptr) {
     const sim::Simulator traced(wf, cloud, &obs_options.bus);
-    const Rng base(config.seed);
-    Rng stream = base.fork(0);
-    sim::RunOptions options;
-    options.faults = config.faults.for_repetition(0);
-    options.recovery = config.recovery;
+    Rng stream = Rng(config.seed).fork(0);
+    sim::RunOptions options = config.run;
+    options.faults = config.run.faults.for_repetition(0);
     (void)traced.run(out.schedule, dag::sample_weights(wf, stream), options);
+  }
+
+  if (online) {
+    std::cout << "online (" << config.repetitions << " runs): makespan "
+              << TablePrinter::pm(r.makespan.mean(), r.makespan.stddev(), 1) << " s, cost $"
+              << TablePrinter::num(r.cost.mean(), 4) << ", "
+              << obs_options.metrics.counter_value("migrations") /
+                     static_cast<double>(config.repetitions)
+              << " migrations/run\n";
+    obs_options.finish();
+    return 0;
   }
 
   TablePrinter table(algorithm + " on " + wf.name() + " — " +
@@ -388,7 +362,7 @@ int cmd_simulate(const cli::Args& args) {
     table.row({"objective (Eq. 3) met", TablePrinter::num(100 * r.objective_fraction, 1) + "%"});
   }
   table.row({"VMs", std::to_string(r.used_vms)});
-  if (config.faults.enabled()) {
+  if (config.run.faults.enabled()) {
     table.row({"success (no failed tasks)",
                TablePrinter::num(100 * r.success_fraction, 1) + "%"});
     table.row({"crashes / run", TablePrinter::num(r.crashes_mean, 2)});
@@ -425,7 +399,7 @@ int cmd_sweep(const cli::Args& args) {
       request.budget = budgets[b];
       request.config.repetitions = reps;
       request.config.seed = args.get_size("seed", 7);
-      read_fault_args(args, request.config);
+      read_fault_args(args, request.config.run);
       request.tag = "b";
       request.tag += std::to_string(b);
       requests.push_back(std::move(request));
@@ -433,14 +407,8 @@ int cmd_sweep(const cli::Args& args) {
   }
   exp::RunPolicy policy;
   policy.run_timeout = args.get_double("run-timeout", 0.0);
-  std::vector<exp::EvalResult> results;
-  const std::size_t threads = args.get_size("threads", 1);
-  if (threads == 1) {
-    results = exp::run_serial(cloud, requests, policy);
-  } else {
-    ThreadPool pool(threads);
-    results = exp::run_parallel(cloud, requests, pool, policy);
-  }
+  const std::vector<exp::EvalResult> results =
+      exp::run_requests(cloud, requests, args.get_size("threads", 1), policy);
 
   TablePrinter table("budget sweep on " + wf.name() + " (makespan s | cost $ | %valid)");
   std::vector<std::string> columns{"budget($)"};
@@ -515,10 +483,11 @@ int cmd_campaign(const cli::Args& args) {
   return 0;
 }
 
-/// A command and every flag it reads; main rejects any other flag before the
-/// command runs.
+/// A command, what it does and every flag it reads; main rejects any other
+/// flag before the command runs, and the usage lists these flags.
 struct Command {
   std::string_view name;
+  std::string_view summary;
   int (*run)(const cli::Args&);
   std::set<std::string> flags;
 };
@@ -537,23 +506,46 @@ std::set<std::string> with(std::set<std::string> flags, const std::set<std::stri
 }
 
 const Command commands[] = {
-    {"generate", cmd_generate, {"profile", "type", "tasks", "seed", "sigma", "out"}},
-    {"info", cmd_info, common_flags},
-    {"convert", cmd_convert, {"profile", "sigma"}},
-    {"schedule", cmd_schedule,
+    {"generate", "synthesize a Pegasus-like workflow instance", cmd_generate,
+     {"profile", "type", "tasks", "seed", "sigma", "out"}},
+    {"info", "show structure and metrics of a workflow file", cmd_info, common_flags},
+    {"convert", "convert between .json, .dax and .dot", cmd_convert, {"profile", "sigma"}},
+    {"schedule", "compute a schedule and its deterministic prediction", cmd_schedule,
      with(common_flags, {"algorithm", "budget", "gantt", "trace-dir", "trace-events",
                          "schedule-out", "metrics-out"})},
-    {"simulate", cmd_simulate,
+    {"simulate", "execute a schedule against stochastic weights", cmd_simulate,
      with(with(common_flags, fault_flags),
           {"algorithm", "budget", "reps", "seed", "trace-events", "metrics-out", "deadline",
            "online", "timeout-sigmas", "budget-cap"})},
-    {"sweep", cmd_sweep,
+    {"sweep", "compare algorithms across a budget sweep", cmd_sweep,
      with(with(common_flags, fault_flags),
           {"algorithms", "points", "reps", "seed", "threads", "csv", "run-timeout"})},
-    {"campaign", cmd_campaign,
+    {"campaign", "multi-instance figure-style campaign for one family", cmd_campaign,
      with(common_flags, {"type", "tasks", "instances", "points", "reps", "algorithms", "seed",
                          "threads", "low-factor", "checkpoint-dir", "resume", "run-timeout"})},
 };
+
+/// The usage text: every command with the flags it reads (values and
+/// defaults are in the header of this file).
+void print_usage(std::ostream& out) {
+  out << "cloudwf — budget-aware workflow scheduling toolbox\n\n"
+         "usage: cloudwf <command> [args]\n\ncommands:\n";
+  const std::string indent(12, ' ');
+  for (const Command& command : commands) {
+    out << "  " << std::left << std::setw(11) << command.name << command.summary << '\n';
+    std::string line = indent;
+    for (const std::string& flag : command.flags) {
+      if (line.size() + flag.size() + 3 > 80) {
+        out << line << '\n';
+        line = indent;
+      }
+      line += " --" + flag;
+    }
+    out << line << '\n';
+  }
+  out << "  help       print this message\n\n"
+         "flag values and defaults: see the header of tools/cloudwf_cli.cpp.\n";
+}
 
 }  // namespace
 
@@ -565,13 +557,14 @@ int main(int argc, char** argv) try {
   const cli::Args args(argc, argv, {"online", "help", "resume", "profile"});
   const std::string& command = args.command();
   if (command.empty() || command == "help" || args.has("help")) {
-    std::cout << usage;
+    print_usage(std::cout);
     return 0;
   }
   const auto it = std::find_if(std::begin(commands), std::end(commands),
                                [&](const Command& c) { return command == c.name; });
   if (it == std::end(commands)) {
-    std::cerr << "unknown command '" << command << "'\n\n" << usage;
+    std::cerr << "unknown command '" << command << "'\n\n";
+    print_usage(std::cerr);
     return 2;
   }
   args.require_known(it->flags);
