@@ -10,6 +10,7 @@
 ///   (default)     — trimmed scale, minutes on a laptop
 ///   CLOUDWF_FULL  — paper scale (5 instances, 25 reps, 8 budgets, 90 tasks)
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -22,6 +23,20 @@
 
 namespace cloudwf::bench {
 
+/// True when CLOUDWF_QUICK is set in the environment.
+[[nodiscard]] inline bool quick_mode() {
+  const char* value = std::getenv("CLOUDWF_QUICK");
+  return value != nullptr && *value != '\0';
+}
+
+/// True when CLOUDWF_FULL is set: paper-scale campaigns (5 instances x 25
+/// repetitions x 8 budgets at 90 tasks).  Without it the bench binaries run
+/// a trimmed-but-representative configuration.
+[[nodiscard]] inline bool full_mode() {
+  const char* value = std::getenv("CLOUDWF_FULL");
+  return value != nullptr && *value != '\0';
+}
+
 /// Campaign configuration for one workflow family at the scale selected by
 /// the environment.
 inline exp::CampaignConfig figure_config(pegasus::WorkflowType type,
@@ -30,7 +45,7 @@ inline exp::CampaignConfig figure_config(pegasus::WorkflowType type,
   config.type = type;
   config.algorithms = std::move(algorithms);
   config.seed = 42;
-  if (exp::full_mode()) {
+  if (full_mode()) {
     config.tasks = 90;
     config.instances = 5;
     config.repetitions = 25;
@@ -41,7 +56,12 @@ inline exp::CampaignConfig figure_config(pegasus::WorkflowType type,
     config.repetitions = 10;
     config.budget_points = 6;
   }
-  config.apply_quick_mode();
+  if (quick_mode()) {
+    config.instances = std::min<std::size_t>(config.instances, 2);
+    config.budget_points = std::min<std::size_t>(config.budget_points, 4);
+    config.repetitions = std::min<std::size_t>(config.repetitions, 5);
+    config.tasks = std::min<std::size_t>(config.tasks, 30);
+  }
   return config;
 }
 
@@ -75,7 +95,7 @@ inline void run_figure_row(const std::string& figure, pegasus::WorkflowType type
 inline void print_scale_banner(const std::string& figure) {
   std::cout << "=== " << figure << " ===\n"
             << "scale: "
-            << (exp::full_mode() ? "FULL (paper)" : exp::quick_mode() ? "QUICK (CI)" : "default")
+            << (full_mode() ? "FULL (paper)" : quick_mode() ? "QUICK (CI)" : "default")
             << " — set CLOUDWF_FULL=1 for the paper-scale campaign\n\n";
 }
 

@@ -65,8 +65,8 @@ double one_sample(const sim::Simulator& simulator, const sim::Schedule& schedule
 int main() {
   bench::print_scale_banner("bench_obs — observability overhead");
 
-  const std::size_t tasks = exp::quick_mode() ? 200 : 1000;
-  const std::size_t samples = exp::quick_mode() ? 7 : 15;
+  const std::size_t tasks = bench::quick_mode() ? 200 : 1000;
+  const std::size_t samples = bench::quick_mode() ? 7 : 15;
   const platform::Platform platform = platform::paper_platform();
   const pegasus::GeneratorConfig gen{tasks, 42, 0.5};
   const dag::Workflow wf = pegasus::generate(pegasus::WorkflowType::cybershake, gen);

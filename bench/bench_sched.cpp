@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   bench::print_scale_banner("bench_sched — scheduler-kernel planning time");
   const std::string output_path = argc > 1 ? argv[1] : "BENCH_sched.json";
 
-  const bool quick = exp::quick_mode();
+  const bool quick = bench::quick_mode();
   const std::vector<std::size_t> sizes = quick ? std::vector<std::size_t>{100}
                                                : std::vector<std::size_t>{100, 1000};
   const std::size_t samples = quick ? 1 : 5;

@@ -41,9 +41,9 @@ int main() {
   bench::print_scale_banner("Extended study: HEFTBUDG ablation");
 
   const auto platform = platform::paper_platform();
-  const std::size_t tasks = exp::full_mode() ? 90 : exp::quick_mode() ? 20 : 50;
-  const std::size_t instances = exp::quick_mode() ? 1 : 3;
-  const std::size_t reps = exp::full_mode() ? 25 : 10;
+  const std::size_t tasks = bench::full_mode() ? 90 : bench::quick_mode() ? 20 : 50;
+  const std::size_t instances = bench::quick_mode() ? 1 : 3;
+  const std::size_t reps = bench::full_mode() ? 25 : 10;
   const double sigma = 0.75;  // enough uncertainty for the margins to matter
 
   const std::vector<Variant> variants{

@@ -45,8 +45,8 @@ int main() {
   bench::print_scale_banner("Extended study: billing granularity");
 
   const auto continuous = platform::paper_platform();
-  const std::size_t tasks = exp::full_mode() ? 90 : exp::quick_mode() ? 24 : 60;
-  const std::size_t reps = exp::full_mode() ? 25 : 10;
+  const std::size_t tasks = bench::full_mode() ? 90 : bench::quick_mode() ? 24 : 60;
+  const std::size_t reps = bench::full_mode() ? 25 : 10;
 
   for (const pegasus::WorkflowType type : pegasus::all_types()) {
     const auto wf = pegasus::generate(type, {tasks, 11, 0.5});

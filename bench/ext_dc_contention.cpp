@@ -27,8 +27,8 @@ int main() {
   bench::print_scale_banner("Extended study: datacenter contention");
 
   const auto open = platform::paper_platform();
-  const std::size_t tasks = exp::full_mode() ? 90 : exp::quick_mode() ? 30 : 60;
-  const std::size_t reps = exp::full_mode() ? 25 : 10;
+  const std::size_t tasks = bench::full_mode() ? 90 : bench::quick_mode() ? 30 : 60;
+  const std::size_t reps = bench::full_mode() ? 25 : 10;
   // Data sizes scaled x16: emulates the paper's SimGrid setting (Table II's
   // literal 125 Mbps is 8x less than our 125 MB/s links) plus denser LIGO
   // frame data — the regime where its parallel huge transfers saturate the

@@ -31,8 +31,8 @@ int main() {
   bench::print_scale_banner("Extended study: fault tolerance under VM crashes");
 
   const auto cloud = platform::paper_platform();
-  const std::size_t tasks = exp::full_mode() ? 90 : exp::quick_mode() ? 23 : 50;
-  const std::size_t reps = exp::full_mode() ? 50 : exp::quick_mode() ? 10 : 25;
+  const std::size_t tasks = bench::full_mode() ? 90 : bench::quick_mode() ? 23 : 50;
+  const std::size_t reps = bench::full_mode() ? 50 : bench::quick_mode() ? 10 : 25;
   const std::vector<std::string> algorithms{"minmin-budg", "heft-budg", "heft-budg-plus",
                                             "heft-budg-plus-inv"};
   const std::vector<double> crash_rates{0.0, 0.5, 1.0, 2.0, 4.0};  // per billed hour

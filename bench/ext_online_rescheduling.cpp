@@ -29,8 +29,8 @@ int main() {
   bench::print_scale_banner("Extended study: online re-scheduling (Section VI)");
 
   const auto cloud = platform::paper_platform();
-  const std::size_t tasks = exp::full_mode() ? 90 : exp::quick_mode() ? 23 : 50;
-  const std::size_t reps = exp::full_mode() ? 50 : 25;
+  const std::size_t tasks = bench::full_mode() ? 90 : bench::quick_mode() ? 23 : 50;
+  const std::size_t reps = bench::full_mode() ? 50 : 25;
 
   for (const pegasus::WorkflowType type : pegasus::all_types()) {
     const auto wf = pegasus::generate(type, {tasks, 3, 1.0});

@@ -21,9 +21,9 @@ int main() {
   bench::print_scale_banner("Extended study: impact of sigma");
 
   const auto platform = platform::paper_platform();
-  const std::size_t tasks = exp::full_mode() ? 90 : exp::quick_mode() ? 20 : 40;
-  const std::size_t instances = exp::quick_mode() ? 1 : 3;
-  const std::size_t reps = exp::full_mode() ? 25 : 10;
+  const std::size_t tasks = bench::full_mode() ? 90 : bench::quick_mode() ? 20 : 40;
+  const std::size_t instances = bench::quick_mode() ? 1 : 3;
+  const std::size_t reps = bench::full_mode() ? 25 : 10;
 
   for (const pegasus::WorkflowType type : pegasus::all_types()) {
     TablePrinter table("sigma impact — " + std::string(pegasus::to_string(type)) + " (" +

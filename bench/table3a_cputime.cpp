@@ -15,8 +15,8 @@
 #include <map>
 #include <memory>
 
+#include "bench_common.hpp"
 #include "exp/budget_levels.hpp"
-#include "exp/campaign.hpp"
 #include "pegasus/generator.hpp"
 #include "platform/platform.hpp"
 #include "sched/registry.hpp"
@@ -26,8 +26,8 @@ namespace {
 using namespace cloudwf;
 
 std::size_t table_tasks() {
-  if (exp::full_mode()) return 90;
-  if (exp::quick_mode()) return 30;
+  if (bench::full_mode()) return 90;
+  if (bench::quick_mode()) return 30;
   return 60;
 }
 

@@ -13,8 +13,8 @@
 #include <map>
 #include <memory>
 
+#include "bench_common.hpp"
 #include "exp/budget_levels.hpp"
-#include "exp/campaign.hpp"
 #include "pegasus/generator.hpp"
 #include "platform/platform.hpp"
 #include "sched/registry.hpp"
@@ -24,7 +24,7 @@ namespace {
 using namespace cloudwf;
 
 std::vector<std::size_t> table_sizes() {
-  if (exp::quick_mode()) return {30, 60};
+  if (bench::quick_mode()) return {30, 60};
   return {30, 60, 90, 400};
 }
 

@@ -23,13 +23,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-TASK_HEADER = ["task", "vm", "start", "finish", "duration", "inputs_at_dc",
-               "bound_by", "restarts", "failed"]
-VM_HEADER = ["vm", "category", "boot_request", "boot_done", "end", "busy",
-             "tasks", "utilization", "boot_attempts", "crashed", "recovery",
-             "billed"]
-
-
 def read_rows(path: Path) -> list[list[str]]:
     with path.open(newline="") as handle:
         return list(csv.reader(handle))
@@ -147,19 +140,44 @@ def mutate_schedule_unknown_task(work: Path) -> None:
     path.write_text(json.dumps(doc) + "\n")
 
 
-def mutate_events_out_of_order(work: Path) -> None:
+def edit_events(work: Path, edit) -> None:
     path = work / "events.json"
     doc = json.loads(path.read_text())
-    records = doc["traceEvents"]
-    slices = [i for i, r in enumerate(records)
-              if r.get("ph") == "X" and r.get("tid", 0) >= 10]
-    # Swap the first and last engine slice: the late event now precedes
-    # everything it used to follow.
-    first, last = slices[0], slices[-1]
-    assert records[first]["ts"] + records[first]["dur"] \
-        < records[last]["ts"] + records[last]["dur"]
-    records[first], records[last] = records[last], records[first]
+    edit(doc)
     path.write_text(json.dumps(doc) + "\n")
+
+
+def mutate_events_out_of_order(work: Path) -> None:
+    def edit(doc):
+        records = doc["traceEvents"]
+        slices = [i for i, r in enumerate(records)
+                  if r.get("ph") == "X" and r.get("tid", 0) >= 10]
+        # Swap the first and last engine slice: the late event now precedes
+        # everything it used to follow.
+        first, last = slices[0], slices[-1]
+        assert records[first]["ts"] + records[first]["dur"] \
+            < records[last]["ts"] + records[last]["dur"]
+        records[first], records[last] = records[last], records[first]
+    edit_events(work, edit)
+
+
+def mutate_instant_without_scope(work: Path) -> None:
+    def edit(doc):
+        instant = next(r for r in doc["traceEvents"] if r.get("ph") == "i")
+        del instant["s"]
+    edit_events(work, edit)
+
+
+def mutate_event_on_unnamed_track(work: Path) -> None:
+    def edit(doc):
+        records = doc["traceEvents"]
+        unnamed = 1 + max(r["tid"] for r in records if r.get("ph") != "M")
+        next(r for r in records if r.get("ph") == "X")["tid"] = unnamed
+    edit_events(work, edit)
+
+
+def mutate_missing_display_time_unit(work: Path) -> None:
+    edit_events(work, lambda doc: doc.pop("displayTimeUnit"))
 
 
 # (name, mutation, lint arguments builder, acceptable violation codes)
@@ -183,6 +201,12 @@ CASES = [
      {"artifact_format"}),
     ("events_out_of_order", mutate_events_out_of_order, "events",
      {"event_order"}),
+    ("instant_without_scope", mutate_instant_without_scope, "events",
+     {"artifact_format"}),
+    ("event_on_unnamed_track", mutate_event_on_unnamed_track, "events",
+     {"artifact_format"}),
+    ("missing_display_time_unit", mutate_missing_display_time_unit, "events",
+     {"artifact_format"}),
 ]
 
 

@@ -7,8 +7,8 @@
 /// carry one entry per violated instance with the offending subject (task,
 /// VM, event index or file), a human-readable message and, where meaningful,
 /// the expected/actual numeric pair.  The JSON serialization (to_json) is
-/// the violation-report schema validated by scripts/check_trace_schema.py
-/// --violations and emitted by `cloudwf-lint --report`.
+/// the violation-report schema `cloudwf-lint --report` writes; the
+/// Violation.ReportJsonMatchesSchema test pins it.
 
 #include <string>
 #include <string_view>

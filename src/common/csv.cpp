@@ -9,14 +9,10 @@ namespace cloudwf {
 
 CsvWriter::CsvWriter(std::ostream& out, char separator) : out_(out), sep_(separator) {}
 
-void CsvWriter::header(std::initializer_list<std::string_view> names) {
-  header(std::vector<std::string>(names.begin(), names.end()));
-}
-
-void CsvWriter::header(const std::vector<std::string>& names) {
+void CsvWriter::header(std::span<const std::string_view> names) {
   require(rows_ == 0 && at_row_start_, "CsvWriter::header: header must be the first row");
   require(!names.empty(), "CsvWriter::header: empty header");
-  for (const auto& name : names) field(name);
+  for (const std::string_view name : names) field(name);
   header_fields_ = fields_in_row_;
   end_row();
 }

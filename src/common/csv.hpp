@@ -5,6 +5,7 @@
 
 #include <initializer_list>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,8 +22,10 @@ class CsvWriter {
   explicit CsvWriter(std::ostream& out, char separator = ',');
 
   /// Writes the header row; must be the first row written.
-  void header(std::initializer_list<std::string_view> names);
-  void header(const std::vector<std::string>& names);
+  void header(std::span<const std::string_view> names);
+  void header(std::initializer_list<std::string_view> names) {
+    header(std::span(names.begin(), names.size()));
+  }
 
   CsvWriter& field(std::string_view value);
   CsvWriter& field(double value);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <ostream>
@@ -49,24 +48,6 @@ std::uint64_t campaign_config_hash(const CampaignConfig& config) {
 }
 
 }  // namespace
-
-bool quick_mode() {
-  const char* value = std::getenv("CLOUDWF_QUICK");
-  return value != nullptr && *value != '\0';
-}
-
-bool full_mode() {
-  const char* value = std::getenv("CLOUDWF_FULL");
-  return value != nullptr && *value != '\0';
-}
-
-void CampaignConfig::apply_quick_mode() {
-  if (!quick_mode()) return;
-  instances = std::min<std::size_t>(instances, 2);
-  budget_points = std::min<std::size_t>(budget_points, 4);
-  repetitions = std::min<std::size_t>(repetitions, 5);
-  tasks = std::min<std::size_t>(tasks, 30);
-}
 
 CampaignResult run_campaign(const platform::Platform& platform, const CampaignConfig& config) {
   require(!config.algorithms.empty(), "run_campaign: no algorithms listed");
@@ -123,6 +104,7 @@ CampaignResult run_campaign(const platform::Platform& platform, const CampaignCo
         request.config.repetitions = config.repetitions;
         request.config.seed = config.seed * 1000003 + inst * 101 + b;
         request.config.measure_cpu_time = true;
+        request.config.run_timeout = config.run_timeout;
         request.tag = "inst=" + std::to_string(inst) + ";b=" + std::to_string(b);
         requests.push_back(std::move(request));
       }
@@ -130,7 +112,6 @@ CampaignResult run_campaign(const platform::Platform& platform, const CampaignCo
   }
 
   RunPolicy policy;
-  policy.run_timeout = config.run_timeout;
   std::unique_ptr<CheckpointJournal> journal;
   if (!config.checkpoint_dir.empty()) {
     std::filesystem::create_directories(config.checkpoint_dir);

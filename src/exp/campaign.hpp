@@ -60,9 +60,6 @@ struct CampaignConfig {
   /// evaluation exceeds this becomes a `timed_out` degraded cell instead
   /// of hanging the sweep (see EvalConfig::run_timeout for granularity).
   Seconds run_timeout = 0;
-
-  /// Applies the CLOUDWF_QUICK scaling (if the env var is set).
-  void apply_quick_mode();
 };
 
 /// Cross-instance aggregate of one (algorithm, budget-index) cell.
@@ -108,13 +105,5 @@ struct CampaignResult {
 /// "headroom".
 void print_campaign_table(std::ostream& out, const CampaignResult& result,
                           const std::string& metric, const std::string& title);
-
-/// True when CLOUDWF_QUICK is set in the environment.
-[[nodiscard]] bool quick_mode();
-
-/// True when CLOUDWF_FULL is set: paper-scale campaigns (5 instances x 25
-/// repetitions x 8 budgets at 90 tasks).  Without it the bench binaries run
-/// a trimmed-but-representative configuration.
-[[nodiscard]] bool full_mode();
 
 }  // namespace cloudwf::exp

@@ -63,7 +63,6 @@ Json eval_result_to_json(const EvalResult& r) {
   obs["vm_util_mean"] = r.vm_util_mean;
   obs["transfer_retries_mean"] = r.transfer_retries_mean;
   obs["budget_headroom_mean"] = r.budget_headroom_mean;
-  obs["sim_events_per_sec"] = r.sim_events_per_sec;
   o["obs"] = Json(std::move(obs));
   return {std::move(o)};
 }
@@ -99,7 +98,6 @@ EvalResult eval_result_from_json(const Json& json) {
     r.vm_util_mean = obs->at("vm_util_mean").as_number();
     r.transfer_retries_mean = obs->at("transfer_retries_mean").as_number();
     r.budget_headroom_mean = obs->at("budget_headroom_mean").as_number();
-    r.sim_events_per_sec = obs->at("sim_events_per_sec").as_number();
   }
   return r;
 }

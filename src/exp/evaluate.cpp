@@ -86,7 +86,7 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
   Dollars recovery_cost = 0;
   Seconds wasted = 0;
   // Observability aggregates: waits pooled across all repetitions, per-rep
-  // means for utilization / retries / headroom, events/s over the loop.
+  // means for utilization / retries / headroom.
   // The pool is sized once, for one wait per task and repetition, so it
   // does not reallocate while the simulator's arena is alive.
   std::vector<double> waits;
@@ -94,8 +94,6 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
   double util_sum = 0;
   std::size_t transfer_retries = 0;
   double headroom_sum = 0;
-  std::size_t events_total = 0;
-  const auto loop_start = Clock::now();
   {
     // Scoped so the simulator's engine arena is freed before the quantiles
     // below copy the pooled waits.
@@ -133,12 +131,10 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
       if (billed_total > 0) util_sum += busy_total / billed_total;
       transfer_retries += run.faults.transfer_failures;
       if (budget > 0) headroom_sum += (budget - run.total_cost()) / budget;
-      events_total += run.events_processed;
       if (config.metrics != nullptr)
         sim::record_run_metrics(*config.metrics, run, budget);
     }
   }
-  const Seconds loop_seconds = std::chrono::duration<double>(Clock::now() - loop_start).count();
   const auto fraction = [&](std::size_t count) {
     return static_cast<double>(count) / static_cast<double>(config.repetitions);
   };
@@ -159,8 +155,6 @@ EvalResult evaluate_schedule_until(const dag::Workflow& wf,
   result.vm_util_mean = util_sum / static_cast<double>(config.repetitions);
   result.transfer_retries_mean = fraction(transfer_retries);
   result.budget_headroom_mean = headroom_sum / static_cast<double>(config.repetitions);
-  result.sim_events_per_sec =
-      loop_seconds > 0 ? static_cast<double>(events_total) / loop_seconds : 0.0;
   return result;
 }
 

@@ -135,9 +135,6 @@ struct EvalResult {
   double transfer_retries_mean = 0;  ///< transfer retries per repetition
   /// Mean relative budget slack (budget - cost) / budget; 0 when no budget.
   double budget_headroom_mean = 0;
-  /// Simulator event-loop throughput over the repetition loop (events/s of
-  /// wall time; 0 when the loop finished too fast to time).
-  double sim_events_per_sec = 0;
 };
 
 /// Schedules \p wf with \p algorithm under \p budget, then executes

@@ -59,7 +59,6 @@ EvalResult evaluate_request(const platform::Platform& platform, const RunRequest
     if (const EvalResult* cached = policy.journal->find(fingerprint)) return *cached;
   }
   EvalConfig config = request.config;
-  if (policy.run_timeout > 0) config.run_timeout = policy.run_timeout;
   if (config.plan_cache == nullptr) config.plan_cache = &plans;
   EvalResult result;
   try {
@@ -172,7 +171,7 @@ void write_results_csv(std::ostream& out, std::span<const RunRequest> requests,
               // Observability aggregates — appended after the original 27
               // columns so positional consumers keep working.
               "queue_wait_p50", "queue_wait_p95", "queue_wait_p99", "vm_util_mean",
-              "transfer_retries_mean", "budget_headroom_mean", "sim_events_per_sec"});
+              "transfer_retries_mean", "budget_headroom_mean"});
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const RunRequest& request = requests[i];
     const EvalResult& r = results[i];
@@ -209,8 +208,7 @@ void write_results_csv(std::ostream& out, std::span<const RunRequest> requests,
         .field(ok ? r.queue_wait_p99 : nan)
         .field(ok ? r.vm_util_mean : nan)
         .field(ok ? r.transfer_retries_mean : nan)
-        .field(ok ? r.budget_headroom_mean : nan)
-        .field(ok ? r.sim_events_per_sec : nan);
+        .field(ok ? r.budget_headroom_mean : nan);
     csv.end_row();
   }
 }

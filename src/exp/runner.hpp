@@ -43,9 +43,6 @@ struct RunRequest {
 
 /// Robustness knobs of one matrix run.
 struct RunPolicy {
-  /// Per-request wall-clock watchdog (seconds); 0 disables it.  Overrides
-  /// EvalConfig::run_timeout for every request when positive.
-  Seconds run_timeout = 0;
   /// When set, completed cells are replayed from / recorded to this
   /// journal (see checkpoint.hpp).  The journal must outlive the run.
   CheckpointJournal* journal = nullptr;

@@ -14,8 +14,7 @@ namespace cloudwf::sim {
 
 void write_task_trace_csv(const dag::Workflow& wf, const SimResult& result, std::ostream& out) {
   CsvWriter csv(out);
-  csv.header({"task", "vm", "start", "finish", "duration", "inputs_at_dc", "bound_by",
-              "restarts", "failed"});
+  csv.header(task_trace_columns);
   for (dag::TaskId t = 0; t < result.tasks.size(); ++t) {
     const TaskRecord& record = result.tasks[t];
     csv.field(wf.task(t).name)
@@ -34,8 +33,7 @@ void write_task_trace_csv(const dag::Workflow& wf, const SimResult& result, std:
 
 void write_vm_trace_csv(const SimResult& result, std::ostream& out) {
   CsvWriter csv(out);
-  csv.header({"vm", "category", "boot_request", "boot_done", "end", "busy", "tasks",
-              "utilization", "boot_attempts", "crashed", "recovery", "billed"});
+  csv.header(vm_trace_columns);
   for (VmId v = 0; v < result.vms.size(); ++v) {
     const VmRecord& record = result.vms[v];
     // Fault-free: exactly the VMs that ran something.  Billed-but-empty VMs

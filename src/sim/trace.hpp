@@ -3,8 +3,10 @@
 /// \file trace.hpp
 /// \brief Human/machine-readable export of simulation results.
 
+#include <array>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "dag/workflow.hpp"
 #include "sim/result.hpp"
@@ -15,12 +17,24 @@ class MetricsRegistry;
 
 namespace cloudwf::sim {
 
-/// Writes one CSV row per task: name, vm, start, finish, duration, bound_by.
+/// Header of tasks.csv: the TaskRecord fields by task name, plus the
+/// derived duration (finish - start); bound_by is "-" when no input bound it.
+inline constexpr std::array<std::string_view, 9> task_trace_columns{
+    "task",         "vm",       "start",    "finish", "duration",
+    "inputs_at_dc", "bound_by", "restarts", "failed"};
+
+/// Header of vms.csv: the VmRecord fields by VM id, plus the derived
+/// utilization (vm_utilization); `tasks` is VmRecord::task_count.
+inline constexpr std::array<std::string_view, 12> vm_trace_columns{
+    "vm",    "category",    "boot_request",  "boot_done", "end",      "busy",
+    "tasks", "utilization", "boot_attempts", "crashed",   "recovery", "billed"};
+
+/// Writes one CSV row per task, with the columns of task_trace_columns.
 void write_task_trace_csv(const dag::Workflow& wf, const SimResult& result, std::ostream& out);
 
-/// Writes one CSV row per used VM: id, category, boot_request, boot_done,
-/// end, busy, task_count, utilization, boot_attempts, crashed, recovery,
-/// billed.
+/// Writes one CSV row per VM that ran a task, was billed, crashed, served
+/// recovery or needed a second boot attempt, with the columns of
+/// vm_trace_columns.
 void write_vm_trace_csv(const SimResult& result, std::ostream& out);
 
 /// \name Crash-safe file variants

@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <string_view>
 
 #include "check/auto_check.hpp"
 #include "check/violation.hpp"
@@ -311,20 +313,64 @@ TEST(CheckEvents, DecisionIndexIsIndependentTimeline) {
 
 // ---- report plumbing --------------------------------------------------------
 
+/// The version-1 violation-report schema (what `cloudwf-lint --report`
+/// writes), checked field by field against the report it serializes.
+void expect_report_schema(const CheckReport& report) {
+  const Json json = report.to_json();
+  ASSERT_TRUE(json.is_object());
+  EXPECT_EQ(json.at("checker").as_string(), "cloudwf-invariants");
+  EXPECT_EQ(json.at("version").as_number(), 1);
+  EXPECT_EQ(json.at("ok").as_bool(), report.violations.empty());
+  const double checks_run = json.at("checks_run").as_number();
+  EXPECT_EQ(checks_run, static_cast<double>(report.checks_run));
+  EXPECT_EQ(checks_run, std::floor(checks_run));
+  const Json::Array& violations = json.at("violations").as_array();
+  ASSERT_EQ(violations.size(), report.violations.size());
+  EXPECT_GE(checks_run, static_cast<double>(violations.size()));
+  for (std::size_t i = 0; i < violations.size(); ++i) {
+    const Violation& expected = report.violations[i];
+    EXPECT_EQ(violations[i].at("code").as_string(), to_string(expected.code)) << i;
+    EXPECT_EQ(violations[i].at("subject").as_string(), expected.subject) << i;
+    EXPECT_EQ(violations[i].at("message").as_string(), expected.message) << i;
+    EXPECT_EQ(violations[i].at("expected").as_number(), expected.expected) << i;
+    EXPECT_EQ(violations[i].at("actual").as_number(), expected.actual) << i;
+  }
+}
+
 TEST(Violation, ReportJsonMatchesSchema) {
   CheckReport report;
   report.checks_run = 3;
   report.add(InvariantCode::precedence, "task B", "started early", 10.0, 7.0);
-  const Json json = report.to_json();
-  EXPECT_EQ(json.at("checker").as_string(), "cloudwf-invariants");
-  EXPECT_EQ(json.at("version").as_number(), 1);
-  EXPECT_FALSE(json.at("ok").as_bool());
-  EXPECT_EQ(json.at("checks_run").as_number(), 3);
-  const Json& violation = json.at("violations").as_array().at(0);
-  EXPECT_EQ(violation.at("code").as_string(), "precedence");
-  EXPECT_EQ(violation.at("subject").as_string(), "task B");
-  EXPECT_EQ(violation.at("expected").as_number(), 10.0);
-  EXPECT_EQ(violation.at("actual").as_number(), 7.0);
+  expect_report_schema(report);
+  EXPECT_EQ(report.to_json().at("violations").as_array().at(0).at("code").as_string(),
+            "precedence");
+
+  // One violation of every code: each has its own stable lower_snake_case
+  // name, and artifact_format is the last code (the one after it is unnamed).
+  CheckReport every_code;
+  const int codes = static_cast<int>(InvariantCode::artifact_format) + 1;
+  EXPECT_EQ(codes, 11);
+  EXPECT_EQ(to_string(static_cast<InvariantCode>(codes)), "unknown");
+  std::set<std::string_view> names;
+  for (int c = 0; c < codes; ++c) {
+    const auto code = static_cast<InvariantCode>(c);
+    EXPECT_TRUE(names.insert(to_string(code)).second) << to_string(code);
+    EXPECT_NE(to_string(code), "unknown");
+    EXPECT_EQ(to_string(code).find_first_not_of("abcdefghijklmnopqrstuvwxyz_"),
+              std::string_view::npos)
+        << to_string(code);
+    every_code.add(code, "subject " + std::to_string(c), "message " + std::to_string(c), c,
+                   -c);
+  }
+  every_code.checks_run = every_code.violations.size();
+  expect_report_schema(every_code);
+
+  // A clean report: ok, no violations, the checks still counted.
+  CheckReport clean;
+  clean.checks_run = 5;
+  expect_report_schema(clean);
+  EXPECT_TRUE(clean.to_json().at("ok").as_bool());
+  EXPECT_TRUE(clean.to_json().at("violations").as_array().empty());
 }
 
 TEST(Violation, MoneyCloseScalesWithMagnitude) {

@@ -255,6 +255,28 @@ TEST_F(CheckpointTest, GarbageLinesAreSkipped) {
   EXPECT_EQ(journal.skipped_lines(), 2u);
 }
 
+TEST_F(CheckpointTest, JournalLineWithRetiredThroughputKeyReplays) {
+  // Journals written before the wall-clock obs.sim_events_per_sec field was
+  // retired still carry it; the key is ignored, every other field replays.
+  const EvalResult result = sample_result();
+  Json stored = eval_result_to_json(result);
+  stored.as_object()["obs"].as_object()["sim_events_per_sec"] = 123456.0;
+  Json::Object line;
+  line["fp"] = "fp-old";
+  line["result"] = std::move(stored);
+  std::ofstream(journal_path()) << Json(std::move(line)).dump() << "\n";
+
+  CheckpointJournal journal(journal_path(), /*resume=*/true);
+  EXPECT_EQ(journal.cached(), 1u);
+  EXPECT_EQ(journal.skipped_lines(), 0u);
+  ASSERT_NE(journal.find("fp-old"), nullptr);
+  const EvalResult& replayed = *journal.find("fp-old");
+  expect_results_identical(result, replayed);
+  EXPECT_EQ(replayed.queue_wait_p95, result.queue_wait_p95);
+  EXPECT_EQ(replayed.vm_util_mean, result.vm_util_mean);
+  EXPECT_EQ(replayed.budget_headroom_mean, result.budget_headroom_mean);
+}
+
 TEST_F(CheckpointTest, CampaignWithCheckpointMatchesPlainRun) {
   CampaignConfig config = small_campaign();
   const CampaignResult plain = run_campaign(platform::paper_platform(), config);

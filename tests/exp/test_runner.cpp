@@ -127,13 +127,12 @@ TEST(Runner, CsvRoundTripsThroughParser) {
 
   ASSERT_EQ(rows.size(), requests.size() + 1);
   const std::vector<std::string>& header = rows[0];
-  EXPECT_EQ(header.size(), 34u);  // 27 original + 7 appended obs columns
+  EXPECT_EQ(header.size(), 33u);  // 27 original + 6 appended obs columns
   for (const char* column : {"status", "error_kind", "error_message", "success_fraction",
                              "budget_violation_fraction", "crashes_mean", "failed_tasks_mean",
                              "recovery_cost_mean", "wasted_compute_mean", "queue_wait_p50",
                              "queue_wait_p95", "queue_wait_p99", "vm_util_mean",
-                             "transfer_retries_mean", "budget_headroom_mean",
-                             "sim_events_per_sec"})
+                             "transfer_retries_mean", "budget_headroom_mean"})
     EXPECT_NE(std::find(header.begin(), header.end(), column), header.end()) << column;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     ASSERT_EQ(rows[i + 1].size(), header.size()) << i;
@@ -186,9 +185,8 @@ TEST(Runner, WatchdogTimeoutBecomesTimedOutCell) {
   requests[0].algorithm = "heft";
   requests[0].budget = 4.0;
   requests[0].config.repetitions = 4;
-  RunPolicy policy;
-  policy.run_timeout = 1e-9;  // expires before the first deadline check
-  const auto results = run_requests(platform, requests, 1, policy);
+  requests[0].config.run_timeout = 1e-9;  // expires before the first deadline check
+  const auto results = run_requests(platform, requests, 1);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, RunStatus::timed_out);
   EXPECT_EQ(results[0].error_kind, ErrorKind::timeout);

@@ -385,6 +385,8 @@ int cmd_sweep(const cli::Args& args) {
       })));
   const std::size_t points = args.get_size("points", 6);
   const std::size_t reps = args.get_size("reps", 10);
+  const Seconds run_timeout = args.get_double("run-timeout", 0.0);
+  require(run_timeout >= 0, "--run-timeout must be non-negative");
 
   const exp::BudgetLevels levels = exp::compute_budget_levels(wf, cloud);
   const auto budgets = exp::budget_sweep(levels, points);
@@ -399,16 +401,15 @@ int cmd_sweep(const cli::Args& args) {
       request.budget = budgets[b];
       request.config.repetitions = reps;
       request.config.seed = args.get_size("seed", 7);
+      request.config.run_timeout = run_timeout;
       read_fault_args(args, request.config.run);
       request.tag = "b";
       request.tag += std::to_string(b);
       requests.push_back(std::move(request));
     }
   }
-  exp::RunPolicy policy;
-  policy.run_timeout = args.get_double("run-timeout", 0.0);
   const std::vector<exp::EvalResult> results =
-      exp::run_requests(cloud, requests, args.get_size("threads", 1), policy);
+      exp::run_requests(cloud, requests, args.get_size("threads", 1));
 
   TablePrinter table("budget sweep on " + wf.name() + " (makespan s | cost $ | %valid)");
   std::vector<std::string> columns{"budget($)"};
@@ -465,7 +466,6 @@ int cmd_campaign(const cli::Args& args) {
   config.checkpoint_dir = args.get("checkpoint-dir", "");
   config.resume = args.has("resume");
   config.run_timeout = args.get_double("run-timeout", 0.0);
-  config.apply_quick_mode();
 
   const exp::CampaignResult result = exp::run_campaign(cli::make_platform(args), config);
   // Journal bookkeeping goes to stderr so a resumed campaign's stdout stays

@@ -18,8 +18,11 @@
 ///   schedule <wf.{json,dax}> <schedule.json>
 ///       Parse and structurally validate a cloudwf-schedule file.
 ///   events <trace.json>
-///       Validate a Chrome trace-event file: record shape, non-negative
-///       durations, per-track monotonicity of the scheduler lane and global
+///       Validate a Chrome trace-event file: displayTimeUnit, record shape
+///       (phase M/X/i, name, pid, args object, thread-scoped instants),
+///       metadata names, every event on a track a thread_name record
+///       announced first, non-negative timestamps and durations,
+///       per-track monotonicity of the scheduler lane and global
 ///       monotonicity of simulation-time events (the EventSink contract).
 ///   checkpoint <journal.jsonl> [--strict]
 ///       Validate a campaign checkpoint journal: every line a well-formed
@@ -31,8 +34,7 @@
 ///
 /// A flag the command does not read is a usage error.  Every command
 /// accepts --report PATH to also write the machine-readable
-/// violation report (violation.hpp schema; validated by
-/// scripts/check_trace_schema.py --violations).
+/// violation report (CheckReport::to_json in violation.hpp).
 ///
 /// Exit codes: 0 all checks passed; 1 invariant violations found;
 /// 2 usage error or unreadable input.
@@ -45,6 +47,7 @@
 #include <iostream>
 #include <limits>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -62,6 +65,7 @@
 #include "platform/platform.hpp"
 #include "sim/result.hpp"
 #include "sim/schedule_io.hpp"
+#include "sim/trace.hpp"
 
 namespace {
 
@@ -140,12 +144,12 @@ bool parse_flag(const std::string& field, const std::string& where, CheckReport&
 
 /// Checks the header row of a parsed CSV against the writer's schema.
 bool check_header(const std::vector<std::vector<std::string>>& rows,
-                  const std::vector<std::string>& expected, const std::string& path,
+                  std::span<const std::string_view> expected, const std::string& path,
                   CheckReport& report) {
   ++report.checks_run;
-  if (rows.empty() || rows.front() != expected) {
+  if (rows.empty() || !std::ranges::equal(rows.front(), expected)) {
     std::string want;
-    for (const std::string& name : expected) want += (want.empty() ? "" : ",") + name;
+    for (const std::string_view name : expected) want.append(want.empty() ? "" : ",").append(name);
     report.add(InvariantCode::artifact_format, path, "header row must be '" + want + "'");
     return false;
   }
@@ -268,19 +272,17 @@ void read_summary(const std::string& text, const std::string& path, sim::SimResu
 void read_task_trace(const std::string& text, const std::string& path, const dag::Workflow& wf,
                      sim::SimResult& result, CheckReport& report) {
   const auto rows = parse_csv(text);
-  if (!check_header(rows,
-                    {"task", "vm", "start", "finish", "duration", "inputs_at_dc", "bound_by",
-                     "restarts", "failed"},
-                    path, report))
-    return;
+  if (!check_header(rows, sim::task_trace_columns, path, report)) return;
   result.tasks.assign(wf.task_count(), sim::TaskRecord{});
   std::vector<bool> seen(wf.task_count(), false);
   for (std::size_t i = 1; i < rows.size(); ++i) {
     const std::vector<std::string>& row = rows[i];
     const std::string where = path + " row " + std::to_string(i);
     ++report.checks_run;
-    if (row.size() != 9) {
-      report.add(InvariantCode::artifact_format, where, "expected 9 fields", 9,
+    if (row.size() != sim::task_trace_columns.size()) {
+      report.add(InvariantCode::artifact_format, where,
+                 "expected " + std::to_string(sim::task_trace_columns.size()) + " fields",
+                 static_cast<double>(sim::task_trace_columns.size()),
                  static_cast<double>(row.size()));
       continue;
     }
@@ -335,11 +337,7 @@ void read_task_trace(const std::string& text, const std::string& path, const dag
 void read_vm_trace(const std::string& text, const std::string& path, sim::SimResult& result,
                    CheckReport& report) {
   const auto rows = parse_csv(text);
-  if (!check_header(rows,
-                    {"vm", "category", "boot_request", "boot_done", "end", "busy", "tasks",
-                     "utilization", "boot_attempts", "crashed", "recovery", "billed"},
-                    path, report))
-    return;
+  if (!check_header(rows, sim::vm_trace_columns, path, report)) return;
   // The writer skips never-provisioned idle VMs, so absent ids get a default
   // (unbilled, empty) record; the result vector must still span every id a
   // task row referenced.
@@ -352,8 +350,10 @@ void read_vm_trace(const std::string& text, const std::string& path, sim::SimRes
     const std::vector<std::string>& row = rows[i];
     const std::string where = path + " row " + std::to_string(i);
     ++report.checks_run;
-    if (row.size() != 12) {
-      report.add(InvariantCode::artifact_format, where, "expected 12 fields", 12,
+    if (row.size() != sim::vm_trace_columns.size()) {
+      report.add(InvariantCode::artifact_format, where,
+                 "expected " + std::to_string(sim::vm_trace_columns.size()) + " fields",
+                 static_cast<double>(sim::vm_trace_columns.size()),
                  static_cast<double>(row.size()));
       continue;
     }
@@ -469,6 +469,8 @@ CheckReport lint_schedule(const cli::Args& args) {
   return report;
 }
 
+/// Validates a Chrome trace-event file: the subset of the Trace Event Format
+/// that obs::ChromeTraceSink writes, then the EventSink ordering contract.
 CheckReport lint_events(const cli::Args& args) {
   const std::string path = args.positional_at(0, "trace file");
   CheckReport report;
@@ -486,6 +488,11 @@ CheckReport lint_events(const cli::Args& args) {
     report.add(InvariantCode::artifact_format, path, "root must have a 'traceEvents' array");
     return report;
   }
+  ++report.checks_run;
+  const Json* unit = root.as_object().find("displayTimeUnit");
+  if (unit == nullptr || !unit->is_string() ||
+      (unit->as_string() != "ms" && unit->as_string() != "ns"))
+    report.add(InvariantCode::artifact_format, path, "'displayTimeUnit' must be 'ms' or 'ns'");
   const Json::Array& records = root.at("traceEvents").as_array();
 
   // Chrome trace tid 0 is the scheduler's decision-index lane; every other
@@ -494,6 +501,7 @@ CheckReport lint_events(const cli::Args& args) {
   // non-decreasing per timeline, mirroring check_events() on the live bus —
   // including the single allowed rewind into the finalize epilogue of
   // billing_tick / vm_shutdown records.
+  std::set<double> announced_tids;  // tracks named by a thread_name record
   double last_sim_us = -std::numeric_limits<double>::infinity();
   double last_sched_us = -std::numeric_limits<double>::infinity();
   bool epilogue = false;
@@ -512,24 +520,66 @@ CheckReport lint_events(const cli::Args& args) {
       report.add(InvariantCode::artifact_format, where, "missing string field 'ph'");
       continue;
     }
-    if (ph->as_string() == "M") continue;  // metadata carries no timestamp
     ++report.checks_run;
-    if (ph->as_string() != "X" && ph->as_string() != "i") {
+    if (ph->as_string() != "M" && ph->as_string() != "X" && ph->as_string() != "i") {
       report.add(InvariantCode::artifact_format, where,
                  "unexpected phase '" + ph->as_string() + "' (cloudwf emits M, X, i)");
       continue;
     }
+    const bool metadata = ph->as_string() == "M";
+    const Json* name = record.find("name");
+    ++report.checks_run;
+    if (name == nullptr || !name->is_string() || name->as_string().empty())
+      report.add(InvariantCode::artifact_format, where, "missing or empty string field 'name'");
+    ++report.checks_run;
+    if (!record.contains("pid")) report.add(InvariantCode::artifact_format, where, "missing 'pid'");
+    const Json* trace_args = record.find("args");
+    ++report.checks_run;
+    if (trace_args != nullptr ? !trace_args->is_object() : metadata)
+      report.add(InvariantCode::artifact_format, where,
+                 metadata ? "metadata record without an 'args' object"
+                          : "'args' must be an object");
+
+    if (metadata) {  // metadata names tracks and carries no timestamp
+      const std::string meta = name != nullptr && name->is_string() ? name->as_string() : "";
+      ++report.checks_run;
+      if (meta != "process_name" && meta != "thread_name" && meta != "thread_sort_index")
+        report.add(InvariantCode::artifact_format, where,
+                   "unknown metadata record '" + meta + "'");
+      if (meta == "thread_name") {
+        ++report.checks_run;
+        const Json* tid = record.find("tid");
+        if (tid == nullptr || !tid->is_number())
+          report.add(InvariantCode::artifact_format, where,
+                     "thread_name record without a numeric 'tid'");
+        else
+          announced_tids.insert(tid->as_number());
+      }
+      continue;
+    }
+    const bool instant = ph->as_string() == "i";
     const double ts = json_number(record, "ts", where, report);
     const double tid = json_number(record, "tid", where, report);
+    ++report.checks_run;
+    if (!announced_tids.contains(tid))
+      report.add(InvariantCode::artifact_format, where,
+                 "event on track tid " + std::to_string(static_cast<long long>(tid)) +
+                     " before its thread_name record");
     double dur = 0;
-    if (ph->as_string() == "X") {
+    if (instant) {
+      ++report.checks_run;
+      const Json* scope = record.find("s");
+      if (scope == nullptr || !scope->is_string() || scope->as_string() != "t")
+        report.add(InvariantCode::artifact_format, where,
+                   "instant without thread scope \"s\": \"t\"");
+    } else {
       dur = json_number(record, "dur", where, report);
       ++report.checks_run;
       if (dur < 0)
         report.add(InvariantCode::record_range, where, "negative slice duration", 0, dur);
     }
     ++report.checks_run;
-    if (!std::isfinite(ts) || ts < -1e-3)
+    if (!std::isfinite(ts) || ts < 0)
       report.add(InvariantCode::record_range, where, "negative or non-finite timestamp", 0, ts);
     const double event_us = ts + dur;
     if (tid == 0) {
@@ -540,7 +590,6 @@ CheckReport lint_events(const cli::Args& args) {
       last_sched_us = std::max(last_sched_us, event_us);
     } else {
       std::string kind;
-      const Json* trace_args = record.find("args");
       if (trace_args != nullptr && trace_args->is_object()) {
         const Json* value = trace_args->as_object().find("kind");
         if (value != nullptr && value->is_string()) kind = value->as_string();
@@ -576,6 +625,10 @@ CheckReport lint_events(const cli::Args& args) {
       last_sim_us = std::max(last_sim_us, event_us);
     }
   }
+  ++report.checks_run;
+  if (announced_tids.empty())
+    report.add(InvariantCode::artifact_format, path,
+               "no thread_name records (an empty timeline)");
   return report;
 }
 
