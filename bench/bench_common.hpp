@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "exp/campaign.hpp"
-#include "obs/profile.hpp"
 #include "pegasus/generator.hpp"
 #include "platform/platform.hpp"
 
@@ -38,13 +37,15 @@ namespace cloudwf::bench {
 }
 
 /// Campaign configuration for one workflow family at the scale selected by
-/// the environment.
+/// the environment.  The matrix runs on every core: campaign results do not
+/// depend on the thread count, and the figures print no timing metric.
 inline exp::CampaignConfig figure_config(pegasus::WorkflowType type,
                                          std::vector<std::string> algorithms) {
   exp::CampaignConfig config;
   config.type = type;
   config.algorithms = std::move(algorithms);
   config.seed = 42;
+  config.threads = 0;
   if (full_mode()) {
     config.tasks = 90;
     config.instances = 5;
@@ -97,14 +98,6 @@ inline void print_scale_banner(const std::string& figure) {
             << "scale: "
             << (full_mode() ? "FULL (paper)" : quick_mode() ? "QUICK (CI)" : "default")
             << " — set CLOUDWF_FULL=1 for the paper-scale campaign\n\n";
-}
-
-/// Call last in a bench binary's main(): with CLOUDWF_PROFILE=1 the
-/// wall-clock profile of scheduler planning / simulator event loop /
-/// generator construction accumulated during the run lands on stderr
-/// (stdout tables stay byte-identical).
-inline void print_profile_if_enabled() {
-  if (obs::profiling_enabled()) std::cerr << obs::profile_report();
 }
 
 }  // namespace cloudwf::bench

@@ -72,7 +72,8 @@ int main() {
   const dag::Workflow wf = pegasus::generate(pegasus::WorkflowType::cybershake, gen);
 
   const Dollars budget = exp::compute_budget_levels(wf, platform).medium;
-  const auto output = sched::make_scheduler("heft-budg")->schedule({wf, platform, budget});
+  const auto output =
+      sched::make_scheduler("heft-budg")->schedule(sched::make_input(wf, platform, budget));
   Rng rng(7);
   const dag::WeightRealization weights = dag::sample_weights(wf, rng);
 
@@ -109,7 +110,7 @@ int main() {
   // sched.plan / sim.event_loop scope stats.
   obs::set_profiling(true);
   obs::profile_reset();
-  (void)sched::make_scheduler("heft-budg")->schedule({wf, platform, budget});
+  (void)sched::make_scheduler("heft-budg")->schedule(sched::make_input(wf, platform, budget));
   (void)baseline_sim.run(output.schedule, weights);
   const Json profile = obs::profile_json();
   obs::set_profiling(false);
@@ -139,8 +140,6 @@ int main() {
   doc["profile"] = profile;
   write_file_atomic("BENCH_scheduler.json", Json(std::move(doc)).dump(2) + "\n");
   std::cout << "wrote BENCH_scheduler.json\n";
-
-  bench::print_profile_if_enabled();
 
   if (overhead_disabled > 2.0) {
     std::cerr << "WARNING: disabled-path overhead " << overhead_disabled

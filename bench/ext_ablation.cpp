@@ -75,7 +75,7 @@ int main() {
               variant.mean_weight_planning ? dag::with_stddev_ratio(wf, 0.0) : wf;
           const sched::HeftScheduler scheduler(/*budget_aware=*/true, variant.options);
           const sched::SchedulerOutput out =
-              scheduler.schedule({planning_wf, platform, budget});
+              scheduler.schedule(sched::make_input(planning_wf, platform, budget));
 
           exp::EvalConfig config;
           config.repetitions = reps;

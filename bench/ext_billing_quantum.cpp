@@ -61,7 +61,8 @@ int main() {
     for (const std::string algorithm : {"heft", "heft-budg"}) {
       // Schedules are computed once against the continuous model (like the
       // paper's planner) and billed under each quantum.
-      const auto out = sched::make_scheduler(algorithm)->schedule({wf, continuous, budget});
+      const auto out =
+          sched::make_scheduler(algorithm)->schedule(sched::make_input(wf, continuous, budget));
       double continuous_spend = 0;
       for (const Seconds quantum : {0.0, 60.0, 600.0, 3600.0}) {
         const platform::Platform platform =

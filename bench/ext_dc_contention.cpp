@@ -42,7 +42,8 @@ int main() {
     // Budget slightly above minimum: the regime where the paper observed
     // LIGO overruns.
     const Dollars budget = 1.1 * levels.min_cost;
-    const auto out = sched::make_scheduler("heft-budg")->schedule({wf, open, budget});
+    const auto out =
+        sched::make_scheduler("heft-budg")->schedule(sched::make_input(wf, open, budget));
 
     TablePrinter table("datacenter contention — " + std::string(pegasus::to_string(type)) +
                        " (" + std::to_string(tasks) + " tasks), HEFTBUDG @ 1.1*min_cost");

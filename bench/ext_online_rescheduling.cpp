@@ -36,7 +36,8 @@ int main() {
     const auto wf = pegasus::generate(type, {tasks, 3, 1.0});
     const auto levels = exp::compute_budget_levels(wf, cloud);
     const Dollars budget = 1.05 * levels.min_cost;
-    const auto out = sched::make_scheduler("heft-budg")->schedule({wf, cloud, budget});
+    const auto out =
+        sched::make_scheduler("heft-budg")->schedule(sched::make_input(wf, cloud, budget));
 
     TablePrinter table("online re-scheduling — " + std::string(pegasus::to_string(type)) +
                        " (" + std::to_string(tasks) + " tasks, sigma=mu, HEFTBUDG @ 1.05*min)");

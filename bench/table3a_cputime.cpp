@@ -54,7 +54,7 @@ void schedule_once(benchmark::State& state, const std::string& algorithm,
   const auto scheduler = sched::make_scheduler(algorithm);
   const Dollars budget = ctx.budgets.at(level);
   for (auto _ : state) {
-    const auto out = scheduler->schedule({ctx.wf, ctx.platform, budget});
+    const auto out = scheduler->schedule(sched::make_input(ctx.wf, ctx.platform, budget));
     benchmark::DoNotOptimize(out.predicted_makespan);
   }
   state.counters["tasks"] = static_cast<double>(ctx.wf.task_count());

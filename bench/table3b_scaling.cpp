@@ -50,7 +50,7 @@ void schedule_once(benchmark::State& state, const std::string& algorithm, std::s
   const auto platform = platform::paper_platform();
   const auto scheduler = sched::make_scheduler(algorithm);
   for (auto _ : state) {
-    const auto out = scheduler->schedule({ctx.wf, platform, ctx.high_budget});
+    const auto out = scheduler->schedule(sched::make_input(ctx.wf, platform, ctx.high_budget));
     benchmark::DoNotOptimize(out.predicted_makespan);
   }
   state.counters["tasks"] = static_cast<double>(tasks);

@@ -58,7 +58,8 @@ int main(int argc, char** argv) try {
     const exp::EvalResult r = exp::evaluate(wf, cloud, "heft-budg", budget, config);
 
     // VM mix of the produced schedule.
-    const auto out = sched::make_scheduler("heft-budg")->schedule({wf, cloud, budget});
+    const auto out =
+        sched::make_scheduler("heft-budg")->schedule(sched::make_input(wf, cloud, budget));
     std::map<std::string, std::size_t> mix;
     for (sim::VmId vm = 0; vm < out.schedule.vm_count(); ++vm)
       if (!out.schedule.vm_tasks(vm).empty())

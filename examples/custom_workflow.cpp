@@ -86,7 +86,8 @@ int main(int argc, char** argv) try {
 
   // 4. Schedule under a budget and execute one realization.
   const Dollars budget = 5.0;
-  const auto out = sched::make_scheduler("heft-budg-plus")->schedule({wf, cloud, budget});
+  const auto out =
+      sched::make_scheduler("heft-budg-plus")->schedule(sched::make_input(wf, cloud, budget));
   std::cout << "\nheft-budg-plus under $" << budget << ": predicted makespan "
             << out.predicted_makespan << " s, predicted cost $" << out.predicted_cost << "\n";
 

@@ -42,7 +42,7 @@ int main(int argc, char** argv) try {
   // 3. Schedule with the requested algorithm and with the HEFT baseline.
   for (const std::string& name : {algorithm, std::string("heft")}) {
     const auto scheduler = sched::make_scheduler(name);
-    const sched::SchedulerOutput out = scheduler->schedule({wf, cloud, budget});
+    const sched::SchedulerOutput out = scheduler->schedule(sched::make_input(wf, cloud, budget));
 
     // 4. Execute one stochastic realization.
     Rng rng(2026);

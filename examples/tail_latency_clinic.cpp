@@ -36,7 +36,8 @@ int main(int argc, char** argv) try {
   // fast category has room to help.
   const exp::BudgetLevels levels = exp::compute_budget_levels(wf, cloud);
   const Dollars budget = 1.05 * levels.min_cost;
-  const auto out = sched::make_scheduler("heft-budg")->schedule({wf, cloud, budget});
+  const auto out =
+      sched::make_scheduler("heft-budg")->schedule(sched::make_input(wf, cloud, budget));
   std::cout << "schedule: heft-budg under $" << budget << " — "
             << out.schedule.used_vm_count() << " VMs, predicted makespan "
             << out.predicted_makespan << " s\n";

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "obs/profile.hpp"
 #include "sched/cg.hpp"
+#include "sched/plan.hpp"
 #include "sched/registry.hpp"
 
 namespace cloudwf::exp {
@@ -17,11 +18,17 @@ BudgetLevels compute_budget_levels(const dag::Workflow& wf, const platform::Plat
   levels.min_cost = sched::single_vm_cost(wf, platform, platform.cheapest_category());
   levels.low = levels.min_cost;
 
+  // One plan serves the HEFT call and every bisection step.
+  const sched::WorkflowPlan plan = sched::WorkflowPlan::build(wf, platform);
+  const auto input = [&](Dollars budget) {
+    return sched::make_input(wf, platform, budget, /*bus=*/nullptr, &plan);
+  };
+
   // "High": comfortably above what the budget-unaware baseline spends, so
   // affordability never constrains any host choice.
   const auto heft = sched::make_scheduler("heft");
   const sched::SchedulerOutput baseline =
-      heft->schedule({wf, platform, std::numeric_limits<Dollars>::infinity()});
+      heft->schedule(input(std::numeric_limits<Dollars>::infinity()));
   levels.high = 3.0 * std::max(baseline.predicted_cost, levels.min_cost);
 
   // Empirical B_min: smallest budget at which HEFTBUDG's predicted makespan
@@ -31,7 +38,7 @@ BudgetLevels compute_budget_levels(const dag::Workflow& wf, const platform::Plat
   Dollars lo = levels.min_cost;
   Dollars hi = levels.high;
   const auto reaches = [&](Dollars budget) {
-    return heft_budg->schedule({wf, platform, budget}).predicted_makespan <= target;
+    return heft_budg->schedule(input(budget)).predicted_makespan <= target;
   };
   if (!reaches(hi)) {
     // Baseline makespan unreachable under any budget (can happen when the

@@ -29,7 +29,7 @@ struct BudgetLevels {
 };
 
 /// Computes all characteristic budgets (runs HEFT once and a short binary
-/// search of HEFTBUDG's predicted makespan).
+/// search of HEFTBUDG's predicted makespan, all on one WorkflowPlan).
 [[nodiscard]] BudgetLevels compute_budget_levels(const dag::Workflow& wf,
                                                  const platform::Platform& platform);
 

@@ -8,9 +8,9 @@
 /// every instance, and aggregates results across instances per budget index
 /// (the paper plots mean +- stddev across 5 instances x 25 repetitions).
 ///
-/// The CLOUDWF_QUICK environment variable (any non-empty value) shrinks
-/// instances/repetitions/budget points so the bench binaries stay fast in
-/// CI; unset it to reproduce paper-scale campaigns.
+/// A campaign runs exactly the CampaignConfig it is given; the scale
+/// switches of the bench binaries (CLOUDWF_QUICK, CLOUDWF_FULL) live in
+/// bench/bench_common.hpp's figure_config.
 
 #include <string>
 #include <vector>

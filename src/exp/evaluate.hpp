@@ -55,11 +55,12 @@ struct EvalConfig {
   /// cached cells.  Not owned.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional shared store of budget-independent workflow analyses
-  /// (sched/plan.hpp).  When non-null, the scheduling call reuses the cached
-  /// ranks / levels / budget model for this (workflow, platform) pair —
-  /// results are bit-identical with or without it, so, like `metrics`, it is
-  /// not part of the checkpoint fingerprint.  The runner attaches one per
-  /// matrix automatically.  Not owned; must outlive the evaluation.
+  /// (sched/plan.hpp).  When non-null, the scheduling call takes this
+  /// (workflow, platform) pair's plan from it; otherwise make_input builds a
+  /// plan for this one call.  A cached plan and a fresh one are the same
+  /// doubles, so, like `metrics`, it is not part of the checkpoint
+  /// fingerprint.  The runner attaches one per matrix automatically.  Not
+  /// owned; must outlive the evaluation.
   sched::PlanCache* plan_cache = nullptr;
 };
 

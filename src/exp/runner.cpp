@@ -48,8 +48,8 @@ EvalResult degraded_result(const RunRequest& request, RunStatus status,
 
 /// Evaluates one request under \p policy: journal replay, watchdog,
 /// exception capture, journal record.  Interrupted propagates.
-/// \p plans shares budget-independent workflow analyses across the matrix
-/// (bit-identical results; see sched/plan.hpp).
+/// \p plans shares one WorkflowPlan per (workflow, platform) pair across the
+/// matrix (see sched/plan.hpp).
 EvalResult evaluate_request(const platform::Platform& platform, const RunRequest& request,
                             const RunPolicy& policy, sched::PlanCache& plans) {
   throw_if_interrupted();

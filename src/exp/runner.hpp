@@ -16,10 +16,10 @@
 /// journaled.
 ///
 /// run_requests owns a sched::PlanCache for the duration of the matrix:
-/// cells evaluating the same (workflow, platform) pair share one set of
-/// budget-independent analyses (ranks, levels, Algorithm 1's time model)
-/// instead of recomputing them per cell.  Results are bit-identical either
-/// way; a request whose EvalConfig already carries a plan_cache keeps it.
+/// cells evaluating the same (workflow, platform) pair share one
+/// WorkflowPlan (ranks, levels, Algorithm 1's time model) instead of each
+/// building its own.  A shared plan changes no result; a request whose
+/// EvalConfig already carries a plan_cache keeps it.
 
 #include <ostream>
 #include <span>

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "dag/analysis.hpp"
 #include "obs/profile.hpp"
 #include "sched/budget.hpp"
 #include "sched/eft.hpp"
@@ -79,25 +78,15 @@ TctfChoice pick_tctf_host(const EftState& state, dag::TaskId task, Dollars sub_b
 
 SchedulerOutput BdtScheduler::schedule(const SchedulerInput& input) const {
   const dag::Workflow& wf = input.wf;
-  require(wf.frozen(), "BdtScheduler: workflow must be frozen");
   const obs::ProfileScope profile("sched.plan");
 
-  // Same reservations as the paper's algorithms (fair comparison).  The plan
-  // (when supplied) carries the same time model and precedence levels the ad
-  // hoc path computes.
-  BudgetModel model_local;
-  if (input.plan == nullptr) model_local = BudgetModel::build(wf, input.platform);
-  const BudgetModel& model = input.plan != nullptr ? input.plan->budget_model : model_local;
+  // Same reservations as the paper's algorithms (fair comparison).
+  const BudgetModel& model = input.plan.budget_model;
   const BudgetShares shares = divide_budget(model, input.budget);
+  const std::vector<std::vector<dag::TaskId>>& levels = input.plan.levels;
 
-  std::vector<std::vector<dag::TaskId>> levels_local;
-  if (input.plan == nullptr) levels_local = dag::tasks_by_level(wf);
-  const std::vector<std::vector<dag::TaskId>>& levels =
-      input.plan != nullptr ? input.plan->levels : levels_local;
-
-  // Level budgets: proportional split of B_calc by estimated level time.
-  // model.t_task holds task_time_estimate() verbatim, so both paths sum the
-  // same doubles.
+  // Level budgets: proportional split of B_calc by estimated level time
+  // (model.t_task holds task_time_estimate() per task).
   std::vector<Dollars> level_budget(levels.size(), 0);
   {
     Seconds total_time = 0;

@@ -40,8 +40,7 @@ BudgetModel BudgetModel::build(const dag::Workflow& wf, const platform::Platform
   model.reserved_setup = static_cast<double>(wf.task_count()) *
                          platform.category(platform.cheapest_category()).setup_cost;
 
-  // t_calc,T of Eq. 6; the sum accumulates in task-id order so every
-  // divide_budget path produces the same t_wf double.
+  // t_calc,T of Eq. 6, summed in task-id order.
   model.t_task.resize(wf.task_count());
   for (dag::TaskId t = 0; t < wf.task_count(); ++t) {
     model.t_task[t] = task_time_estimate(wf, platform, t);
@@ -68,11 +67,6 @@ BudgetShares divide_budget(const BudgetModel& model, Dollars b_ini, bool reserve
   for (dag::TaskId t = 0; t < model.t_task.size(); ++t)
     shares.per_task[t] = model.t_task[t] / model.t_wf * shares.b_calc;
   return shares;
-}
-
-BudgetShares divide_budget(const dag::Workflow& wf, const platform::Platform& platform,
-                           Dollars b_ini, bool reserve) {
-  return divide_budget(BudgetModel::build(wf, platform), b_ini, reserve);
 }
 
 }  // namespace cloudwf::sched

@@ -46,11 +46,9 @@ struct BudgetShares {
 [[nodiscard]] Seconds task_time_estimate(const dag::Workflow& wf,
                                          const platform::Platform& platform, dag::TaskId task);
 
-/// Budget-independent inputs of Algorithm 1, precomputable once per
-/// (workflow, platform) pair and reused across every budget level of a
-/// sweep (see sched/plan.hpp).  divide_budget(model, ...) reproduces
-/// divide_budget(wf, ...) bit-exactly: the model stores the very doubles
-/// the one-shot path computes, in the same accumulation order.
+/// Budget-independent inputs of Algorithm 1, computed once per (workflow,
+/// platform) pair as part of its WorkflowPlan (sched/plan.hpp) and reused
+/// across every budget level of a sweep.
 struct BudgetModel {
   Dollars reserved_dc = 0;     ///< datacenter reservation (when reserving)
   Dollars reserved_setup = 0;  ///< n cheapest-category setups
@@ -61,14 +59,9 @@ struct BudgetModel {
                                          const platform::Platform& platform);
 };
 
-/// Runs Algorithm 1 and the proportional split of Eq. 5.
+/// Runs Algorithm 1 and the proportional split of Eq. 5 on \p model.
 /// \p reserve disables the datacenter/setup reservation when false (the
 /// ablation in bench/ext_ablation.cpp; the paper always reserves).
-[[nodiscard]] BudgetShares divide_budget(const dag::Workflow& wf,
-                                         const platform::Platform& platform, Dollars b_ini,
-                                         bool reserve = true);
-
-/// Same division from a precomputed model (bit-identical results).
 [[nodiscard]] BudgetShares divide_budget(const BudgetModel& model, Dollars b_ini,
                                          bool reserve = true);
 

@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "common/error.hpp"
-#include "dag/analysis.hpp"
 #include "obs/event_bus.hpp"
 #include "obs/profile.hpp"
 #include "sched/best_host.hpp"
@@ -50,9 +49,13 @@ Dollars single_vm_cost(const dag::Workflow& wf, const platform::Platform& platfo
       .total_cost();
 }
 
-SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
+namespace {
+
+/// CG: HEFT task order, each task on the category whose cost is closest to
+/// its share of the global budget level gb.  Returns the uncompacted
+/// schedule.
+sim::Schedule cg_list_pass(const SchedulerInput& input) {
   const dag::Workflow& wf = input.wf;
-  require(wf.frozen(), "CgScheduler: workflow must be frozen");
   const platform::Platform& platform = input.platform;
   const obs::ProfileScope profile("sched.plan");
   const bool trace = input.bus != nullptr && input.bus->enabled();
@@ -82,17 +85,7 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
           : 0.0;
 
   // ---- CG: per-task category choice, HEFT task order ----------------------
-  std::vector<Seconds> ranks_local;
-  std::vector<dag::TaskId> order_local;
-  if (input.plan == nullptr) {
-    const dag::RankParams rank_params{platform.mean_speed(), platform.bandwidth(), true};
-    ranks_local = dag::bottom_levels(wf, rank_params);
-    order_local = dag::heft_order(wf, rank_params);
-  }
-  const std::vector<Seconds>& ranks =
-      input.plan != nullptr ? input.plan->bottom_levels : ranks_local;
-  const std::vector<dag::TaskId>& order =
-      input.plan != nullptr ? input.plan->heft_list : order_local;
+  const std::vector<Seconds>& ranks = input.plan.bottom_levels;
 
   sim::Schedule schedule(wf.task_count());
   for (dag::TaskId t = 0; t < wf.task_count(); ++t) schedule.set_priority(t, ranks[t]);
@@ -100,7 +93,7 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
 
   std::size_t decision = 0;
   std::vector<Dollars> cost_on(platform.category_count());
-  for (dag::TaskId task : order) {
+  for (dag::TaskId task : input.plan.heft_list) {
     // Target spend for this task.
     Dollars ct_min = std::numeric_limits<Dollars>::infinity();
     Dollars ct_max = 0;
@@ -151,10 +144,14 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
                     std::nullopt);
     ++decision;
   }
+  return schedule;
+}
 
-  if (!refine_) return finish(input, std::move(schedule));
-
-  // ---- CG+: critical-path refinement --------------------------------------
+/// CG+: spends the leftover budget on critical-path re-assignments, in place.
+void refine_critical_path(const SchedulerInput& input, sim::Schedule& schedule) {
+  const dag::Workflow& wf = input.wf;
+  const platform::Platform& platform = input.platform;
+  const obs::ProfileScope profile("sched.refine");
   const sim::Simulator simulator(wf, platform);
   const dag::WeightRealization conservative = dag::conservative_weights(wf);
   sim::SimResult current = simulator.run(schedule, conservative);
@@ -190,7 +187,13 @@ SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
     predictor.rebase(schedule);
     current = simulator.run(schedule, conservative);
   }
+}
 
+}  // namespace
+
+SchedulerOutput CgScheduler::schedule(const SchedulerInput& input) const {
+  sim::Schedule schedule = cg_list_pass(input);
+  if (refine_) refine_critical_path(input, schedule);
   return finish(input, std::move(schedule));
 }
 

@@ -1,7 +1,5 @@
 #include "sched/heft.hpp"
 
-#include "common/error.hpp"
-#include "dag/analysis.hpp"
 #include "obs/event_bus.hpp"
 #include "obs/profile.hpp"
 #include "sched/best_host.hpp"
@@ -14,33 +12,19 @@ sim::Schedule HeftScheduler::run_list_pass(const SchedulerInput& input, bool bud
                                            std::vector<dag::TaskId>& list_out,
                                            const HeftBudgOptions& options) {
   const dag::Workflow& wf = input.wf;
-  require(wf.frozen(), "HeftScheduler: workflow must be frozen");
   const obs::ProfileScope profile("sched.plan");
   const bool trace = input.bus != nullptr && input.bus->enabled();
 
-  std::vector<Seconds> ranks_local;
-  const std::vector<Seconds>* ranks = nullptr;
-  if (input.plan != nullptr) {
-    ranks = &input.plan->bottom_levels;
-    list_out = input.plan->heft_list;
-  } else {
-    const dag::RankParams rank_params{input.platform.mean_speed(), input.platform.bandwidth(),
-                                      /*conservative=*/true};
-    ranks_local = dag::bottom_levels(wf, rank_params);
-    ranks = &ranks_local;
-    list_out = dag::heft_order(wf, rank_params);
-  }
+  const std::vector<Seconds>& ranks = input.plan.bottom_levels;
+  list_out = input.plan.heft_list;
 
   BudgetShares shares;
-  if (budget_aware) {
-    shares = input.plan != nullptr
-                 ? divide_budget(input.plan->budget_model, input.budget, options.reserve_budget)
-                 : divide_budget(wf, input.platform, input.budget, options.reserve_budget);
-  }
+  if (budget_aware)
+    shares = divide_budget(input.plan.budget_model, input.budget, options.reserve_budget);
   Dollars pot = 0;
 
   sim::Schedule schedule(wf.task_count());
-  for (dag::TaskId t = 0; t < wf.task_count(); ++t) schedule.set_priority(t, (*ranks)[t]);
+  for (dag::TaskId t = 0; t < wf.task_count(); ++t) schedule.set_priority(t, ranks[t]);
 
   EftState state(wf, input.platform);
   std::size_t decision = 0;

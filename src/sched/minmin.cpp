@@ -33,15 +33,11 @@ void probe_all(const EftState& state, ReadyEntry& row) {
 sim::Schedule MinMinScheduler::run_list_pass(const SchedulerInput& input, bool budget_aware,
                                              std::vector<dag::TaskId>& order_out) {
   const dag::Workflow& wf = input.wf;
-  require(wf.frozen(), "MinMinScheduler: workflow must be frozen");
   const obs::ProfileScope profile("sched.plan");
   const bool trace = input.bus != nullptr && input.bus->enabled();
 
   BudgetShares shares;
-  if (budget_aware) {
-    shares = input.plan != nullptr ? divide_budget(input.plan->budget_model, input.budget)
-                                   : divide_budget(wf, input.platform, input.budget);
-  }
+  if (budget_aware) shares = divide_budget(input.plan.budget_model, input.budget);
   Dollars pot = 0;
 
   sim::Schedule schedule(wf.task_count());

@@ -7,10 +7,10 @@ namespace cloudwf::sched {
 WorkflowPlan WorkflowPlan::build(const dag::Workflow& wf, const platform::Platform& platform) {
   require(wf.frozen(), "WorkflowPlan: workflow must be frozen");
   WorkflowPlan plan;
-  plan.rank_params =
-      dag::RankParams{platform.mean_speed(), platform.bandwidth(), /*conservative=*/true};
-  plan.bottom_levels = dag::bottom_levels(wf, plan.rank_params);
-  plan.heft_list = dag::heft_order(wf, plan.rank_params);
+  const dag::RankParams rank_params{platform.mean_speed(), platform.bandwidth(),
+                                    /*conservative=*/true};
+  plan.bottom_levels = dag::bottom_levels(wf, rank_params);
+  plan.heft_list = dag::heft_order(wf, rank_params);
   plan.levels = dag::tasks_by_level(wf);
   plan.budget_model = BudgetModel::build(wf, platform);
   return plan;

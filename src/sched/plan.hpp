@@ -3,18 +3,19 @@
 /// \file plan.hpp
 /// \brief Budget-independent workflow analyses, shared across scheduler runs.
 ///
-/// Every list scheduler starts by recomputing the same frozen-workflow
-/// analyses: conservative bottom levels and the HEFT order (HEFT*, CG*),
-/// precedence levels (BDT) and Algorithm 1's time model (every budget-aware
-/// kernel).  A campaign evaluates the same workflow instance across many
-/// budget levels and algorithms, so those analyses dominated repeated plan
-/// time.  WorkflowPlan computes them once per (workflow, platform) pair;
-/// PlanCache shares them across a whole experiment matrix (the runner
-/// attaches one automatically — see exp/runner.hpp).
+/// Every list scheduler starts from the same frozen-workflow analyses:
+/// conservative bottom levels and the HEFT order (HEFT*, CG*), precedence
+/// levels (BDT) and Algorithm 1's time model (every budget-aware kernel).
+/// WorkflowPlan is their only source: make_input() attaches one to every
+/// SchedulerInput, either the caller's or one it builds.  A campaign
+/// evaluates the same workflow instance across many budget levels and
+/// algorithms, so PlanCache shares one plan across a whole experiment matrix
+/// (the runner attaches one automatically — see exp/runner.hpp), and
+/// exp::compute_budget_levels builds one for its whole bisection.
 ///
-/// Sharing a plan never changes results: each cached value is the exact
-/// double sequence the ad-hoc computation produces (same functions, same
-/// iteration order), and only budget-independent quantities are cached.
+/// Sharing a plan never changes results: a plan holds only budget-independent
+/// quantities, and building it is deterministic, so a cached plan and a
+/// freshly built one are the same doubles.
 
 #include <cstdint>
 #include <map>
@@ -30,11 +31,10 @@
 
 namespace cloudwf::sched {
 
-/// Frozen-workflow analyses reused by every scheduler via
-/// SchedulerInput::plan.  Built against one platform: the rank parameters
-/// bake in mean speed and bandwidth.
+/// Frozen-workflow analyses every scheduler reads via SchedulerInput::plan.
+/// Built against one platform: the conservative ranks bake in its mean speed
+/// and bandwidth.
 struct WorkflowPlan {
-  dag::RankParams rank_params;            ///< conservative, platform-derived
   std::vector<Seconds> bottom_levels;     ///< HEFT upward ranks
   std::vector<dag::TaskId> heft_list;     ///< non-increasing rank order
   std::vector<std::vector<dag::TaskId>> levels;  ///< precedence levels (BDT)

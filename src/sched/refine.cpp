@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "common/error.hpp"
+#include "obs/profile.hpp"
 #include "sim/simulator.hpp"
 
 namespace cloudwf::sched {
@@ -11,6 +12,7 @@ std::size_t refine_by_resimulation(const SchedulerInput& input, sim::Schedule& s
                                    std::span<const dag::TaskId> order) {
   require(order.size() == input.wf.task_count(),
           "refine_by_resimulation: order must cover every task");
+  const obs::ProfileScope profile("sched.refine");
   sim::Predictor predictor(input.wf, input.platform, schedule);
   Seconds best_makespan = predictor.predict().makespan;
   std::size_t applied = 0;

@@ -1,5 +1,7 @@
 #include "sched/scheduler.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 #include "common/units.hpp"
 #include "obs/profile.hpp"
@@ -8,19 +10,28 @@
 
 namespace cloudwf::sched {
 
+SchedulerInput::SchedulerInput(const dag::Workflow& workflow, const platform::Platform& cloud,
+                               Dollars b_ini, obs::EventBus* event_bus,
+                               std::shared_ptr<const WorkflowPlan> owned,
+                               const WorkflowPlan& analyses)
+    : wf(workflow), platform(cloud), budget(b_ini), bus(event_bus), plan(analyses),
+      owned_plan_(std::move(owned)) {}
+
 SchedulerInput make_input(const dag::Workflow& wf, const platform::Platform& platform,
                           Dollars budget, obs::EventBus* bus, const WorkflowPlan* plan) {
   require(wf.frozen(), "make_input: workflow must be frozen");
   require(budget >= 0, "make_input: negative budget");
-  if (plan != nullptr) {
-    require(plan->bottom_levels.size() == wf.task_count() &&
-                plan->budget_model.t_task.size() == wf.task_count(),
-            "make_input: plan was built for a different workflow");
+  // The one place that tells a lent plan from none: without one, the input
+  // builds its own and keeps it alive.
+  std::shared_ptr<const WorkflowPlan> owned;
+  if (!plan) {
+    owned = std::make_shared<const WorkflowPlan>(WorkflowPlan::build(wf, platform));
+    plan = owned.get();
   }
-  SchedulerInput input{wf, platform, budget};
-  input.bus = bus;
-  input.plan = plan;
-  return input;
+  require(plan->bottom_levels.size() == wf.task_count() &&
+              plan->budget_model.t_task.size() == wf.task_count(),
+          "make_input: plan was built for a different workflow");
+  return {wf, platform, budget, bus, std::move(owned), *plan};
 }
 
 SchedulerOutput Scheduler::finish(const SchedulerInput& input, sim::Schedule schedule) {

@@ -21,29 +21,39 @@ namespace cloudwf::sched {
 
 struct WorkflowPlan;
 
-/// Everything a scheduler needs for one decision problem.  Prefer building
-/// one via make_input(), which validates the pieces once for every entry
-/// point (CLI, experiment runner, tests) instead of each scheduler
-/// re-checking its own invariants.
-struct SchedulerInput {
+/// Everything a scheduler needs for one decision problem.  Built only by
+/// make_input(), which validates the pieces once for every entry point (CLI,
+/// experiment runner, tests) and always attaches a WorkflowPlan, so no
+/// scheduler recomputes the budget-independent analyses or branches on
+/// whether they exist.  Copies share the plan.
+class SchedulerInput {
+ public:
   const dag::Workflow& wf;              ///< frozen workflow
   const platform::Platform& platform;   ///< VM categories + datacenter
-  Dollars budget = 0;                   ///< B_ini; ignored by budget-unaware baselines
+  Dollars budget;                       ///< B_ini; ignored by budget-unaware baselines
   /// Optional observability bus: list schedulers emit one sched_decision
   /// per placement (candidate count, chosen host, budget headroom) when a
-  /// sink is attached.  Null (the default) costs nothing.
-  obs::EventBus* bus = nullptr;
-  /// Optional precomputed workflow analyses (sched/plan.hpp).  When set,
-  /// schedulers reuse its ranks / levels / budget model instead of
-  /// recomputing them — results are bit-identical either way.  Must have
-  /// been built for exactly this (wf, platform) pair.  Not owned.
-  const WorkflowPlan* plan = nullptr;
+  /// sink is attached.  Null costs nothing.
+  obs::EventBus* bus;
+  /// Ranks, HEFT order, levels and Algorithm 1's model of (wf, platform)
+  /// (sched/plan.hpp): the caller's shared plan, or one make_input built.
+  const WorkflowPlan& plan;
+
+ private:
+  SchedulerInput(const dag::Workflow& workflow, const platform::Platform& cloud, Dollars b_ini,
+                 obs::EventBus* event_bus, std::shared_ptr<const WorkflowPlan> owned,
+                 const WorkflowPlan& analyses);
+
+  std::shared_ptr<const WorkflowPlan> owned_plan_;  ///< null when the caller lent one
+
+  friend SchedulerInput make_input(const dag::Workflow& wf, const platform::Platform& platform,
+                                   Dollars budget, obs::EventBus* bus, const WorkflowPlan* plan);
 };
 
-/// Validating constructor for SchedulerInput, the single entry point shared
-/// by the CLI, the experiment runner and the tests: requires a frozen
-/// workflow, a non-negative budget, and (when given) a plan whose shape
-/// matches the workflow.
+/// The only way to build a SchedulerInput: requires a frozen workflow and a
+/// non-negative budget.  \p plan, when given, must have been built for this
+/// (wf, platform) pair and outlive the input (a PlanCache entry, say);
+/// otherwise the input builds its own plan and keeps it alive.
 [[nodiscard]] SchedulerInput make_input(const dag::Workflow& wf,
                                         const platform::Platform& platform, Dollars budget,
                                         obs::EventBus* bus = nullptr,

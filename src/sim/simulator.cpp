@@ -1082,17 +1082,28 @@ void Execution::restage_task(dag::TaskId task, std::vector<TransferJob>& uploads
       edge_needs_transfer_[e] = true;
     }
   }
+  // The task is unfinished, so none of its outputs has left its host yet.
   // Consumers left behind on the old host (a migration moves one task, so
-  // its local consumers stay) now receive the output through the datacenter.
+  // its local consumers stay) now receive the output through the datacenter;
+  // a consumer already on the new host (a recovery re-pack) receives it
+  // locally.
   for (dag::EdgeId e : wf_.out_edges(task)) {
     const dag::TaskId consumer = wf_.edge(e).dst;
     TaskState& cs = tasks_[consumer];
-    if (edge_needs_transfer_[e] || vm_of_[consumer] == to || cs.failed) continue;
-    edge_needs_transfer_[e] = true;
-    CLOUDWF_ASSERT(cs.local_in_pending > 0);
-    --cs.local_in_pending;
-    ++cs.remote_in_pending;
-    ++cs.dc_in_pending;
+    const bool local = vm_of_[consumer] == to;
+    if (cs.failed || edge_needs_transfer_[e] != local) continue;
+    edge_needs_transfer_[e] = !local;
+    if (local) {
+      CLOUDWF_ASSERT(cs.remote_in_pending > 0 && cs.dc_in_pending > 0);
+      --cs.remote_in_pending;
+      --cs.dc_in_pending;
+      ++cs.local_in_pending;
+    } else {
+      CLOUDWF_ASSERT(cs.local_in_pending > 0);
+      --cs.local_in_pending;
+      ++cs.remote_in_pending;
+      ++cs.dc_in_pending;
+    }
   }
 }
 

@@ -44,7 +44,8 @@ void golden_family(pegasus::WorkflowType type) {
   const InvariantChecker checker(wf, cloud);
 
   for (const std::string& algorithm : sched::algorithm_names()) {
-    const auto out = sched::make_scheduler(algorithm)->schedule({wf, cloud, levels.medium});
+    const auto out =
+        sched::make_scheduler(algorithm)->schedule(sched::make_input(wf, cloud, levels.medium));
     const sim::Simulator simulator(wf, cloud);
 
     CheckOptions options;

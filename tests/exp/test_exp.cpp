@@ -87,9 +87,9 @@ TEST(BudgetLevels, BaselineReachingBudgetActuallyReaches) {
   const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {18, 2, 0.5});
   const auto platform = platform::paper_platform();
   const BudgetLevels levels = compute_budget_levels(wf, platform);
-  const auto heft = sched::make_scheduler("heft")->schedule({wf, platform, 1e9});
-  const auto budg =
-      sched::make_scheduler("heft-budg")->schedule({wf, platform, levels.baseline_reaching});
+  const auto heft = sched::make_scheduler("heft")->schedule(sched::make_input(wf, platform, 1e9));
+  const auto budg = sched::make_scheduler("heft-budg")
+                        ->schedule(sched::make_input(wf, platform, levels.baseline_reaching));
   EXPECT_LE(budg.predicted_makespan, heft.predicted_makespan * 1.02 + 1e-6);
 }
 

@@ -27,7 +27,7 @@ class PaperPropertyTest : public ::testing::TestWithParam<WorkflowType> {
   }
 
   [[nodiscard]] sched::SchedulerOutput run(const std::string& name, Dollars budget) const {
-    return sched::make_scheduler(name)->schedule({wf_, platform_, budget});
+    return sched::make_scheduler(name)->schedule(sched::make_input(wf_, platform_, budget));
   }
 
   platform::Platform platform_ = platform::paper_platform();
@@ -139,12 +139,13 @@ TEST(PaperProperties, BdtOverrunsSmallBudgetsButIsFastWhenItSucceeds) {
   const auto wf = pegasus::generate(WorkflowType::cybershake, {23, 17, 0.5});
   const auto levels = exp::compute_budget_levels(wf, platform);
 
-  const auto tight = sched::make_scheduler("bdt")->schedule({wf, platform, levels.min_cost});
+  const auto tight =
+      sched::make_scheduler("bdt")->schedule(sched::make_input(wf, platform, levels.min_cost));
   EXPECT_GT(tight.predicted_cost, levels.min_cost);  // the eager overrun
 
   const Dollars ample = levels.high;
-  const auto bdt = sched::make_scheduler("bdt")->schedule({wf, platform, ample});
-  const auto cg = sched::make_scheduler("cg")->schedule({wf, platform, ample});
+  const auto bdt = sched::make_scheduler("bdt")->schedule(sched::make_input(wf, platform, ample));
+  const auto cg = sched::make_scheduler("cg")->schedule(sched::make_input(wf, platform, ample));
   EXPECT_LT(bdt.predicted_makespan, cg.predicted_makespan + 1e-6);
 }
 
@@ -156,8 +157,9 @@ TEST(PaperProperties, DcContentionCausesLigoOverrunNearMinimumBudget) {
   const auto open = platform::paper_platform();
   const auto tight = platform::paper_platform_with_contention(2.0);
 
-  const auto out = sched::make_scheduler("heft-budg")
-                       ->schedule({wf, open, exp::compute_budget_levels(wf, open).high});
+  const auto out =
+      sched::make_scheduler("heft-budg")
+          ->schedule(sched::make_input(wf, open, exp::compute_budget_levels(wf, open).high));
   const auto weights = dag::conservative_weights(wf);
   const auto free_run = sim::Simulator(wf, open).run(out.schedule, weights);
   const auto slow_run = sim::Simulator(wf, tight).run(out.schedule, weights);
@@ -173,7 +175,7 @@ TEST(PaperProperties, MinMinAndHeftBudgetsDifferOnMontage) {
   Accumulator minmin_needed;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto wf = pegasus::generate(WorkflowType::montage, {24, seed, 0.5});
-    const auto heft = sched::make_scheduler("heft")->schedule({wf, platform, 1e9});
+    const auto heft = sched::make_scheduler("heft")->schedule(sched::make_input(wf, platform, 1e9));
     const Seconds target = heft.predicted_makespan * 1.02;
     const auto needed = [&](const std::string& name) {
       const auto levels = exp::compute_budget_levels(wf, platform);
@@ -181,7 +183,8 @@ TEST(PaperProperties, MinMinAndHeftBudgetsDifferOnMontage) {
       Dollars hi = levels.high;
       for (int i = 0; i < 12; ++i) {
         const Dollars mid = 0.5 * (lo + hi);
-        const auto out = sched::make_scheduler(name)->schedule({wf, platform, mid});
+        const auto out =
+            sched::make_scheduler(name)->schedule(sched::make_input(wf, platform, mid));
         (out.predicted_makespan <= target ? hi : lo) = mid;
       }
       return hi;

@@ -153,9 +153,7 @@ TEST(SimulatorEvents, SchedulerEmitsOneDecisionPerTask) {
   EventBus bus;
   RecordingSink sink;
   bus.add_sink(&sink);
-  sched::SchedulerInput input{wf, platform, 100.0};
-  input.bus = &bus;
-  (void)sched::make_scheduler("heft")->schedule(input);
+  (void)sched::make_scheduler("heft")->schedule(sched::make_input(wf, platform, 100.0, &bus));
 
   std::size_t decisions = 0;
   Seconds last_index = -1;

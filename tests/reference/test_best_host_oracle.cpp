@@ -144,7 +144,7 @@ sim::Schedule replay_heft(const dag::Workflow& wf, const platform::Platform& pla
   const std::vector<Seconds> ranks = dag::bottom_levels(wf, rank_params);
   const std::vector<dag::TaskId> list = dag::heft_order(wf, rank_params);
   sched::BudgetShares shares;
-  if (budget) shares = sched::divide_budget(wf, platform, *budget);
+  if (budget) shares = sched::divide_budget(sched::BudgetModel::build(wf, platform), *budget);
   Dollars pot = 0;
 
   sim::Schedule schedule(wf.task_count());

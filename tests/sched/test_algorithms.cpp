@@ -39,7 +39,7 @@ TEST_P(AlgorithmTest, ProducesCompleteValidSchedule) {
   const auto wf = make_workflow(type());
   const auto platform = platform::paper_platform();
   const auto scheduler = make_scheduler(algorithm());
-  const SchedulerOutput out = scheduler->schedule({wf, platform, 5.0});
+  const SchedulerOutput out = scheduler->schedule(make_input(wf, platform, 5.0));
   EXPECT_TRUE(out.schedule.complete());
   EXPECT_NO_THROW(out.schedule.validate(wf, platform));
   EXPECT_GT(out.schedule.used_vm_count(), 0u);
@@ -50,7 +50,7 @@ TEST_P(AlgorithmTest, ProducesCompleteValidSchedule) {
 TEST_P(AlgorithmTest, PredictionMatchesConservativeSimulation) {
   const auto wf = make_workflow(type());
   const auto platform = platform::paper_platform();
-  const SchedulerOutput out = make_scheduler(algorithm())->schedule({wf, platform, 5.0});
+  const SchedulerOutput out = make_scheduler(algorithm())->schedule(make_input(wf, platform, 5.0));
   const sim::SimResult check =
       sim::Simulator(wf, platform).run(out.schedule, dag::conservative_weights(wf));
   EXPECT_NEAR(out.predicted_makespan, check.makespan, 1e-6);
@@ -61,8 +61,8 @@ TEST_P(AlgorithmTest, DeterministicAcrossRuns) {
   const auto wf = make_workflow(type());
   const auto platform = platform::paper_platform();
   const auto scheduler = make_scheduler(algorithm());
-  const SchedulerOutput a = scheduler->schedule({wf, platform, 4.0});
-  const SchedulerOutput b = scheduler->schedule({wf, platform, 4.0});
+  const SchedulerOutput a = scheduler->schedule(make_input(wf, platform, 4.0));
+  const SchedulerOutput b = scheduler->schedule(make_input(wf, platform, 4.0));
   EXPECT_DOUBLE_EQ(a.predicted_makespan, b.predicted_makespan);
   EXPECT_DOUBLE_EQ(a.predicted_cost, b.predicted_cost);
   EXPECT_EQ(a.schedule.vm_count(), b.schedule.vm_count());
@@ -73,7 +73,7 @@ TEST_P(AlgorithmTest, GenerousBudgetIsFeasible) {
   const auto platform = platform::paper_platform();
   const exp::BudgetLevels levels = exp::compute_budget_levels(wf, platform);
   const SchedulerOutput out =
-      make_scheduler(algorithm())->schedule({wf, platform, 2.0 * levels.high});
+      make_scheduler(algorithm())->schedule(make_input(wf, platform, 2.0 * levels.high));
   EXPECT_TRUE(out.budget_feasible)
       << algorithm() << " predicted $" << out.predicted_cost << " with budget $"
       << 2.0 * levels.high;
@@ -82,7 +82,7 @@ TEST_P(AlgorithmTest, GenerousBudgetIsFeasible) {
 TEST_P(AlgorithmTest, ExecutionRespectsDependencies) {
   const auto wf = make_workflow(type());
   const auto platform = platform::paper_platform();
-  const SchedulerOutput out = make_scheduler(algorithm())->schedule({wf, platform, 5.0});
+  const SchedulerOutput out = make_scheduler(algorithm())->schedule(make_input(wf, platform, 5.0));
   const sim::SimResult run =
       sim::Simulator(wf, platform).run(out.schedule, dag::conservative_weights(wf));
   for (const dag::Edge& e : wf.edges())
@@ -120,7 +120,8 @@ TEST_P(BudgetAwareTest, TightBudgetPredictionStaysFeasible) {
   const auto platform = platform::paper_platform();
   const exp::BudgetLevels levels = exp::compute_budget_levels(wf, platform);
   const Dollars budget = 1.3 * levels.min_cost;
-  const SchedulerOutput out = make_scheduler(GetParam())->schedule({wf, platform, budget});
+  const SchedulerOutput out =
+      make_scheduler(GetParam())->schedule(make_input(wf, platform, budget));
   EXPECT_TRUE(out.budget_feasible)
       << GetParam() << " predicted $" << out.predicted_cost << " with budget $" << budget;
 }
@@ -132,9 +133,10 @@ TEST_P(BudgetAwareTest, ConvergesToBaselineWithInfiniteBudget) {
   const auto platform = platform::paper_platform();
   const Dollars infinite = 1e9;
   const std::string baseline_name = GetParam() == "minmin-budg" ? "minmin" : "heft";
-  const SchedulerOutput budgeted = make_scheduler(GetParam())->schedule({wf, platform, infinite});
+  const SchedulerOutput budgeted =
+      make_scheduler(GetParam())->schedule(make_input(wf, platform, infinite));
   const SchedulerOutput baseline =
-      make_scheduler(baseline_name)->schedule({wf, platform, infinite});
+      make_scheduler(baseline_name)->schedule(make_input(wf, platform, infinite));
   EXPECT_NEAR(budgeted.predicted_makespan, baseline.predicted_makespan, 1e-6);
 }
 
@@ -224,10 +226,27 @@ TEST(MakeInput, RejectsPlanBuiltForAnotherWorkflow) {
   EXPECT_NO_THROW((void)make_input(wf, platform, 1.0, nullptr, &good));
 }
 
+TEST(MakeInput, AlwaysAttachesAPlan) {
+  const auto platform = platform::paper_platform();
+  const auto wf = pegasus::generate(pegasus::WorkflowType::ligo, {24, 11, 0.5});
+  const WorkflowPlan lent = WorkflowPlan::build(wf, platform);
+  EXPECT_EQ(&make_input(wf, platform, 1.0, nullptr, &lent).plan, &lent);
+  // Without one the input builds its own, which its copies keep alive.
+  std::optional<SchedulerInput> original(make_input(wf, platform, 1.0));
+  const SchedulerInput copy = *original;
+  const WorkflowPlan* built = &original->plan;
+  original.reset();
+  EXPECT_EQ(&copy.plan, built);
+  EXPECT_EQ(copy.plan.bottom_levels, lent.bottom_levels);
+  EXPECT_EQ(copy.plan.heft_list, lent.heft_list);
+  EXPECT_EQ(copy.plan.levels, lent.levels);
+  EXPECT_EQ(copy.plan.budget_model.t_task, lent.budget_model.t_task);
+}
+
 // ---- WorkflowPlan / PlanCache ------------------------------------------------
 
-/// Sharing a precomputed plan must never change a schedule: every cached
-/// analysis is the exact double sequence the ad-hoc path computes.
+/// Sharing a cached plan must never change a schedule: it holds the exact
+/// doubles of the plan make_input builds when given none.
 TEST(PlanCache, PlannedSchedulesBitIdenticalToAdHoc) {
   const auto platform = platform::paper_platform();
   const auto wf = pegasus::generate(pegasus::WorkflowType::cybershake, {40, 3, 0.5});
@@ -239,15 +258,14 @@ TEST(PlanCache, PlannedSchedulesBitIdenticalToAdHoc) {
 
   for (const SchedulerInfo& info : scheduler_registry()) {
     const auto scheduler = make_scheduler(info.name);
-    const SchedulerOutput ad_hoc =
-        scheduler->schedule(make_input(wf, platform, 3.0));
+    const SchedulerOutput built = scheduler->schedule(make_input(wf, platform, 3.0));
     const SchedulerOutput planned =
         scheduler->schedule(make_input(wf, platform, 3.0, nullptr, &plan));
     EXPECT_EQ(sim::schedule_to_json(planned.schedule, wf).dump(),
-              sim::schedule_to_json(ad_hoc.schedule, wf).dump())
+              sim::schedule_to_json(built.schedule, wf).dump())
         << info.name;
-    EXPECT_EQ(planned.predicted_makespan, ad_hoc.predicted_makespan) << info.name;
-    EXPECT_EQ(planned.predicted_cost, ad_hoc.predicted_cost) << info.name;
+    EXPECT_EQ(planned.predicted_makespan, built.predicted_makespan) << info.name;
+    EXPECT_EQ(planned.predicted_cost, built.predicted_cost) << info.name;
   }
 }
 

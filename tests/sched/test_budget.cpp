@@ -32,7 +32,7 @@ TEST(Budget, TaskTimeEstimateIncludesInboundData) {
 TEST(Budget, ReservesSetupPerTask) {
   const auto wf = testing::diamond();
   const auto platform = testing::toy_platform();
-  const BudgetShares shares = divide_budget(wf, platform, 100.0);
+  const BudgetShares shares = divide_budget(BudgetModel::build(wf, platform), 100.0);
   EXPECT_DOUBLE_EQ(shares.reserved_setup, 4 * 0.5);
   EXPECT_DOUBLE_EQ(shares.reserved_dc, 0.0);  // free datacenter in the toy platform
   EXPECT_DOUBLE_EQ(shares.b_calc, 98.0);
@@ -41,7 +41,7 @@ TEST(Budget, ReservesSetupPerTask) {
 TEST(Budget, SharesSumToBcalc) {
   const auto wf = testing::diamond(0.5);
   const auto platform = testing::toy_platform();
-  const BudgetShares shares = divide_budget(wf, platform, 50.0);
+  const BudgetShares shares = divide_budget(BudgetModel::build(wf, platform), 50.0);
   const Dollars sum =
       std::accumulate(shares.per_task.begin(), shares.per_task.end(), Dollars{0});
   EXPECT_NEAR(sum, shares.b_calc, 1e-9);
@@ -50,7 +50,7 @@ TEST(Budget, SharesSumToBcalc) {
 TEST(Budget, SharesProportionalToTaskTime) {
   const auto wf = testing::diamond();
   const auto platform = testing::toy_platform();
-  const BudgetShares shares = divide_budget(wf, platform, 100.0);
+  const BudgetShares shares = divide_budget(BudgetModel::build(wf, platform), 100.0);
   const double ratio = shares.share(wf.find_task("B")) / shares.share(wf.find_task("D"));
   const double expected = task_time_estimate(wf, platform, wf.find_task("B")) /
                           task_time_estimate(wf, platform, wf.find_task("D"));
@@ -60,7 +60,7 @@ TEST(Budget, SharesProportionalToTaskTime) {
 TEST(Budget, DcReservationChargedOnPaperPlatform) {
   const auto wf = testing::diamond();
   const auto platform = platform::paper_platform();
-  const BudgetShares shares = divide_budget(wf, platform, 100.0);
+  const BudgetShares shares = divide_budget(BudgetModel::build(wf, platform), 100.0);
   EXPECT_GT(shares.reserved_dc, 0.0);
   // Transfer part alone: 6e6 bytes * $0.055/GB.
   EXPECT_GT(shares.reserved_dc, 6e6 * 0.055 / 1e9);
@@ -69,7 +69,8 @@ TEST(Budget, DcReservationChargedOnPaperPlatform) {
 TEST(Budget, TinyBudgetClampsToZeroCalc) {
   const auto wf = testing::diamond();
   const auto platform = testing::toy_platform();
-  const BudgetShares shares = divide_budget(wf, platform, 1.0);  // < reserved setup
+  const BudgetShares shares =
+      divide_budget(BudgetModel::build(wf, platform), 1.0);  // < reserved setup
   EXPECT_DOUBLE_EQ(shares.b_calc, 0.0);
   for (const Dollars share : shares.per_task) EXPECT_DOUBLE_EQ(share, 0.0);
 }
@@ -77,8 +78,8 @@ TEST(Budget, TinyBudgetClampsToZeroCalc) {
 TEST(Budget, MonotonicInBudget) {
   const auto wf = testing::diamond();
   const auto platform = testing::toy_platform();
-  const BudgetShares small = divide_budget(wf, platform, 10.0);
-  const BudgetShares large = divide_budget(wf, platform, 20.0);
+  const BudgetShares small = divide_budget(BudgetModel::build(wf, platform), 10.0);
+  const BudgetShares large = divide_budget(BudgetModel::build(wf, platform), 20.0);
   for (dag::TaskId t = 0; t < wf.task_count(); ++t)
     EXPECT_GE(large.share(t), small.share(t));
 }
@@ -86,7 +87,7 @@ TEST(Budget, MonotonicInBudget) {
 TEST(Budget, NegativeBudgetRejected) {
   const auto wf = testing::diamond();
   const auto platform = testing::toy_platform();
-  EXPECT_THROW((void)divide_budget(wf, platform, -1.0), InvalidArgument);
+  EXPECT_THROW((void)divide_budget(BudgetModel::build(wf, platform), -1.0), InvalidArgument);
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ std::string schedule_json(const Param& param) {
   const platform::Platform platform = platform::paper_platform();
   const Dollars budget = exp::compute_budget_levels(wf, platform).medium;
   const SchedulerOutput out =
-      make_scheduler(std::get<0>(param))->schedule({wf, platform, budget});
+      make_scheduler(std::get<0>(param))->schedule(make_input(wf, platform, budget));
   return sim::schedule_to_json(out.schedule, wf).dump(2) + "\n";
 }
 

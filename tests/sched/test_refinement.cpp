@@ -42,7 +42,7 @@ class RefinementTest : public ::testing::TestWithParam<Case> {
   }
 
   [[nodiscard]] SchedulerOutput run(const std::string& name, Dollars budget) const {
-    return make_scheduler(name)->schedule({wf_, platform_, budget});
+    return make_scheduler(name)->schedule(make_input(wf_, platform_, budget));
   }
 
   platform::Platform platform_ = platform::paper_platform();
@@ -131,8 +131,8 @@ TEST(Refinement, PlusImprovesSomewhere) {
   bool improved = false;
   for (const double frac : {1.1, 1.3, 1.6, 2.0, 3.0}) {
     const Dollars budget = frac * levels.min_cost;
-    const auto base = make_scheduler("heft-budg")->schedule({wf, platform, budget});
-    const auto plus = make_scheduler("heft-budg-plus")->schedule({wf, platform, budget});
+    const auto base = make_scheduler("heft-budg")->schedule(make_input(wf, platform, budget));
+    const auto plus = make_scheduler("heft-budg-plus")->schedule(make_input(wf, platform, budget));
     if (plus.predicted_makespan < base.predicted_makespan - 1e-6) improved = true;
   }
   EXPECT_TRUE(improved);
@@ -160,7 +160,7 @@ TEST(Refinement, BoundSkipsResimulationsOnlyWhenUnchecked) {
     else
       check::uninstall_auto_check();
     obs::profile_reset();
-    (void)make_scheduler(algorithm)->schedule({wf, platform, levels.medium});
+    (void)make_scheduler(algorithm)->schedule(make_input(wf, platform, levels.medium));
     return std::pair{scope_calls("sim.bound"), scope_calls("sim.event_loop")};
   };
   for (const std::string algorithm : {"heft-budg-plus", "minmin-budg-plus", "cg-plus"}) {
@@ -178,6 +178,25 @@ TEST(Refinement, BoundSkipsResimulationsOnlyWhenUnchecked) {
     check::install_auto_check();
   else
     check::uninstall_auto_check();
+}
+
+TEST(Refinement, ProfileScopesSplitListPassFromRefinement) {
+  // "sched.plan" times the list pass alone and "sched.refine" the refinement
+  // on top of it: one schedule() records one of each, and only refining
+  // algorithms record "sched.refine".
+  const auto platform = platform::paper_platform();
+  const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {24, 7, 0.5});
+  const auto levels = exp::compute_budget_levels(wf, platform);
+  const bool was_profiling = obs::profiling_enabled();
+  obs::set_profiling(true);
+  for (const SchedulerInfo& info : scheduler_registry()) {
+    obs::profile_reset();
+    (void)make_scheduler(info.name)->schedule(make_input(wf, platform, levels.medium));
+    EXPECT_EQ(scope_calls("sched.plan"), 1.0) << info.name;
+    EXPECT_EQ(scope_calls("sched.refine"), info.refining ? 1.0 : 0.0) << info.name;
+  }
+  obs::profile_reset();
+  obs::set_profiling(was_profiling);
 }
 
 }  // namespace

@@ -119,7 +119,8 @@ TEST(FaultInjector, DisabledClassesDrawNothing) {
 TEST(Faults, DisabledModelMatchesPlainRunBitForBit) {
   const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {24, 9, 1.0});
   const auto platform = platform::paper_platform();
-  const auto out = sched::make_scheduler("heft-budg")->schedule({wf, platform, 3.0});
+  const auto out =
+      sched::make_scheduler("heft-budg")->schedule(sched::make_input(wf, platform, 3.0));
   Rng rng(11);
   const dag::WeightRealization weights = dag::sample_weights(wf, rng);
 
@@ -390,10 +391,51 @@ TEST(Faults, UncappedRecoveryProvisionsFreshVm) {
   EXPECT_TRUE(r.success());
 }
 
+TEST(Faults, RepackOntoConsumerHostKeepsTheEdgeLocal) {
+  // VM 0 runs A; VM 1 runs C, then A's consumer B.  Each seed crashes VM 0
+  // while A runs, and the zero recovery cap re-packs A onto VM 1, next to B:
+  // A -> B is then a same-host edge and must not go up to the datacenter and
+  // back down.
+  dag::Workflow wf("repack");
+  const auto a = wf.add_task("A", 800, 0);
+  const auto b = wf.add_task("B", 100, 0);
+  const auto c = wf.add_task("C", 300, 0);
+  wf.add_edge(a, b, 1e6);
+  wf.freeze();
+  Schedule schedule(wf.task_count());
+  schedule.set_priority(a, 3);  // topological: A ahead of B in a merged list
+  schedule.set_priority(c, 2);
+  schedule.set_priority(b, 1);
+  schedule.add_vm(0);
+  schedule.add_vm(0);
+  schedule.assign(a, 0);
+  schedule.assign(c, 1);
+  schedule.assign(b, 1);
+  const auto platform = testing::toy_platform();
+  RecoveryPolicy recovery;
+  recovery.budget_cap = 0;
+
+  for (const std::uint64_t seed : {1, 13, 34}) {
+    FaultModel model;
+    model.lambda_crash = 5;
+    model.seed = seed;
+    const SimResult r = Simulator(wf, platform)
+                            .run(schedule, dag::WeightRealization({800.0, 100.0, 300.0}),
+                                 {.faults = model, .recovery = recovery});
+    ASSERT_TRUE(r.success()) << "seed " << seed;
+    ASSERT_EQ(r.tasks[a].vm, 1u) << "seed " << seed;  // the scenario: A re-packed by B
+    ASSERT_EQ(r.tasks[b].vm, 1u) << "seed " << seed;
+    EXPECT_EQ(r.transfers.count, 0u) << "seed " << seed;
+    EXPECT_DOUBLE_EQ(r.transfers.bytes, 0.0) << "seed " << seed;
+    EXPECT_GE(r.tasks[b].start, r.tasks[a].finish) << "seed " << seed;
+  }
+}
+
 TEST(Faults, SameSeedGivesBitIdenticalResults) {
   const auto wf = pegasus::generate(pegasus::WorkflowType::cybershake, {23, 3, 1.0});
   const auto platform = platform::paper_platform();
-  const auto out = sched::make_scheduler("heft-budg")->schedule({wf, platform, 2.0});
+  const auto out =
+      sched::make_scheduler("heft-budg")->schedule(sched::make_input(wf, platform, 2.0));
   Rng rng(7);
   const dag::WeightRealization weights = dag::sample_weights(wf, rng);
   FaultModel model;

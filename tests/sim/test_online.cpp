@@ -230,7 +230,8 @@ TEST(Online, RestartBoundIsRespectedOnRescueVm) {
 TEST(Online, DeterministicAcrossRuns) {
   const auto wf = pegasus::generate(pegasus::WorkflowType::montage, {24, 9, 1.0});
   const auto platform = platform::paper_platform();
-  const auto out = sched::make_scheduler("heft-budg")->schedule({wf, platform, 3.0});
+  const auto out =
+      sched::make_scheduler("heft-budg")->schedule(sched::make_input(wf, platform, 3.0));
   Rng rng1(5);
   Rng rng2(5);
   const Simulator sim(wf, platform);
@@ -253,8 +254,8 @@ TEST(Online, HighUncertaintyWorkflowStaysSoundUnderMigrations) {
   const auto wf = pegasus::generate(pegasus::WorkflowType::cybershake, {23, 3, 1.0});
   const auto platform = platform::paper_platform();
   const auto levels = exp::compute_budget_levels(wf, platform);
-  const auto out =
-      sched::make_scheduler("heft-budg")->schedule({wf, platform, 1.05 * levels.min_cost});
+  const auto out = sched::make_scheduler("heft-budg")
+                       ->schedule(sched::make_input(wf, platform, 1.05 * levels.min_cost));
 
   const Simulator sim(wf, platform);
   double offline_total = 0;
@@ -284,7 +285,8 @@ TEST(Online, EvaluateScheduleMatchesTheHandLoop) {
   const auto wf = pegasus::generate(pegasus::WorkflowType::cybershake, {23, 3, 1.0});
   const auto platform = platform::paper_platform();
   const Dollars budget = 1.05 * exp::compute_budget_levels(wf, platform).min_cost;
-  const auto out = sched::make_scheduler("heft-budg")->schedule({wf, platform, budget});
+  const auto out =
+      sched::make_scheduler("heft-budg")->schedule(sched::make_input(wf, platform, budget));
   exp::EvalConfig config;
   config.repetitions = 20;
   config.seed = 4242;

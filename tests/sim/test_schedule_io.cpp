@@ -36,7 +36,7 @@ void expect_equal(const Schedule& a, const Schedule& b, const dag::Workflow& wf)
 TEST(ScheduleIo, HeftScheduleRoundTrips) {
   const dag::Workflow wf = testing::diamond();
   const platform::Platform cloud = testing::toy_platform();
-  const auto out = sched::make_scheduler("heft")->schedule({wf, cloud, 10.0});
+  const auto out = sched::make_scheduler("heft")->schedule(sched::make_input(wf, cloud, 10.0));
 
   const Json json = schedule_to_json(out.schedule, wf);
   const Schedule loaded = schedule_from_json(json, wf);
@@ -64,7 +64,7 @@ TEST(ScheduleIo, TiedPrioritiesKeepStoredOrder) {
 TEST(ScheduleIo, FileRoundTrip) {
   const dag::Workflow wf = testing::chain3();
   const platform::Platform cloud = testing::toy_platform();
-  const auto out = sched::make_scheduler("minmin")->schedule({wf, cloud, 10.0});
+  const auto out = sched::make_scheduler("minmin")->schedule(sched::make_input(wf, cloud, 10.0));
   const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
   const fs::path path =
       fs::path(::testing::TempDir()) / (std::string("cloudwf_sched_") + info->name() + ".json");
