@@ -16,6 +16,13 @@ namespace cloudwf::check {
 
 namespace {
 
+/// Money comparisons allow `cost_ulps * eps * max(1, |a|, |b|)`: scaled ulps
+/// absorb the summation error of accumulating per-VM costs in a different
+/// order than the engine did.
+constexpr double cost_ulps = 256;
+/// Absolute slack for time comparisons (scaled up for large timestamps).
+constexpr Seconds time_tolerance = 1e-6;
+
 /// A violation's subject or message: a string, or a callable that builds
 /// it.  Callables run only when the check fails, so a passing check formats
 /// nothing (the checker audits every refinement probe under CLOUDWF_CHECK).
@@ -50,8 +57,8 @@ std::string task_subject(const dag::Workflow& wf, dag::TaskId t) {
 std::string vm_subject(sim::VmId v) { return "vm " + std::to_string(v); }
 
 /// Time slack: absolute floor plus a relative component for long horizons.
-Seconds time_tol(const CheckOptions& options, Seconds scale) {
-  return std::max(options.time_tolerance, std::abs(scale) * 1e-9);
+Seconds time_tol(Seconds scale) {
+  return std::max(time_tolerance, std::abs(scale) * 1e-9);
 }
 
 /// A run where every transfer/provisioning decision is the planned one:
@@ -74,7 +81,7 @@ bool completed(const sim::TaskRecord& t) { return !t.failed && t.vm != sim::inva
 /// record_range: structural sanity of every record.  Returns false when the
 /// result is too malformed for the semantic checks to proceed.
 bool check_records(const dag::Workflow& wf, const platform::Platform& platform,
-                   const sim::SimResult& r, const CheckOptions& options, CheckReport& report) {
+                   const sim::SimResult& r, CheckReport& report) {
   ++report.checks_run;
   if (r.tasks.size() != wf.task_count()) {
     report.add(InvariantCode::record_range, "result",
@@ -103,10 +110,10 @@ bool check_records(const dag::Workflow& wf, const platform::Platform& platform,
       usable = false;
       continue;
     }
-    expect(report, record.start >= -options.time_tolerance, InvariantCode::record_range,
+    expect(report, record.start >= -time_tolerance, InvariantCode::record_range,
            subject, [&] { return "negative start time " + num(record.start); }, 0,
            record.start);
-    expect(report, record.finish >= record.start - time_tol(options, record.finish),
+    expect(report, record.finish >= record.start - time_tol(record.finish),
            InvariantCode::record_range, subject,
            [&] { return "finish " + num(record.finish) + " before start " + num(record.start); },
            record.start, record.finish);
@@ -135,16 +142,16 @@ bool check_records(const dag::Workflow& wf, const platform::Platform& platform,
       continue;
     }
     if (!record.billed) continue;
-    expect(report, record.boot_request <= record.boot_done + options.time_tolerance,
+    expect(report, record.boot_request <= record.boot_done + time_tolerance,
            InvariantCode::record_range, subject, "boot_done precedes boot_request",
            record.boot_request, record.boot_done);
-    expect(report, record.boot_done <= record.end + options.time_tolerance,
+    expect(report, record.boot_done <= record.end + time_tolerance,
            InvariantCode::record_range, subject, "billing end precedes boot_done",
            record.boot_done, record.end);
     const platform::VmCategory& category = platform.category(record.category);
     const Seconds capacity =
         (record.end - record.boot_done) * static_cast<double>(category.processors);
-    expect(report, record.busy <= capacity + time_tol(options, capacity),
+    expect(report, record.busy <= capacity + time_tol(capacity),
            InvariantCode::record_range, subject,
            "busy seconds exceed slot capacity of the billed interval", capacity, record.busy);
   }
@@ -154,12 +161,12 @@ bool check_records(const dag::Workflow& wf, const platform::Platform& platform,
 /// boot_order: billed boots take >= t_boot; tasks run inside their VM's
 /// billed window.
 void check_boot(const dag::Workflow& wf, const platform::Platform& platform,
-                const sim::SimResult& r, const CheckOptions& options, CheckReport& report) {
+                const sim::SimResult& r, CheckReport& report) {
   for (sim::VmId v = 0; v < r.vms.size(); ++v) {
     const sim::VmRecord& record = r.vms[v];
     if (!record.billed) continue;
     const Seconds boot = record.boot_done - record.boot_request;
-    expect(report, boot >= platform.boot_delay() - time_tol(options, record.boot_done),
+    expect(report, boot >= platform.boot_delay() - time_tol(record.boot_done),
            InvariantCode::boot_order, [&] { return vm_subject(v); },
            [&] { return "boot interval " + num(boot) + " s shorter than t_boot"; },
            platform.boot_delay(), boot);
@@ -173,14 +180,14 @@ void check_boot(const dag::Workflow& wf, const platform::Platform& platform,
       return "executed on a VM that never billed (" + vm_subject(record.vm) + ")";
     });
     if (!vm.billed) continue;
-    expect(report, record.start >= vm.boot_done - time_tol(options, record.start),
+    expect(report, record.start >= vm.boot_done - time_tol(record.start),
            InvariantCode::boot_order, subject,
            [&] {
              return "started " + num(record.start) + " before its VM was up at " +
                     num(vm.boot_done);
            },
            vm.boot_done, record.start);
-    expect(report, record.finish <= vm.end + time_tol(options, record.finish),
+    expect(report, record.finish <= vm.end + time_tol(record.finish),
            InvariantCode::boot_order, subject,
            [&] {
              return "finished " + num(record.finish) + " after its VM's billing end " +
@@ -194,8 +201,7 @@ void check_boot(const dag::Workflow& wf, const platform::Platform& platform,
 /// the VM -> DC -> VM round trip at the per-link bandwidth (a lower bound:
 /// contention and link serialization only slow transfers down).
 void check_precedence(const dag::Workflow& wf, const platform::Platform& platform,
-                      const sim::SimResult& r, bool clean, const CheckOptions& options,
-                      CheckReport& report) {
+                      const sim::SimResult& r, bool clean, CheckReport& report) {
   const BytesPerSec bw = platform.bandwidth();
   for (dag::EdgeId e = 0; e < wf.edge_count(); ++e) {
     const dag::Edge& edge = wf.edge(e);
@@ -205,7 +211,7 @@ void check_precedence(const dag::Workflow& wf, const platform::Platform& platfor
     const auto subject = [&] {
       return "edge " + wf.task(edge.src).name + " -> " + wf.task(edge.dst).name;
     };
-    expect(report, v.start >= u.finish - time_tol(options, v.start),
+    expect(report, v.start >= u.finish - time_tol(v.start),
            InvariantCode::precedence, subject,
            [&] {
              return "consumer started at " + num(v.start) + " before producer finished at " +
@@ -214,11 +220,11 @@ void check_precedence(const dag::Workflow& wf, const platform::Platform& platfor
            u.finish, v.start);
     if (!clean || u.vm == v.vm || edge.bytes <= 0 || bw <= 0) continue;
     const Seconds hop = edge.bytes / bw;
-    expect(report, v.start >= u.finish + 2 * hop - time_tol(options, v.start),
+    expect(report, v.start >= u.finish + 2 * hop - time_tol(v.start),
            InvariantCode::precedence, subject,
            "cross-VM consumer start ignores the upload+download lower bound",
            u.finish + 2 * hop, v.start);
-    expect(report, v.inputs_at_dc >= u.finish + hop - time_tol(options, v.inputs_at_dc),
+    expect(report, v.inputs_at_dc >= u.finish + hop - time_tol(v.inputs_at_dc),
            InvariantCode::precedence, subject,
            "inputs_at_dc earlier than the producer upload could complete", u.finish + hop,
            v.inputs_at_dc);
@@ -228,14 +234,14 @@ void check_precedence(const dag::Workflow& wf, const platform::Platform& platfor
 /// slot_overlap: per-VM sweep over compute intervals; concurrency must not
 /// exceed the category's processor count.
 void check_slots(const dag::Workflow& wf, const platform::Platform& platform,
-                 const sim::SimResult& r, const CheckOptions& options, CheckReport& report) {
+                 const sim::SimResult& r, CheckReport& report) {
   std::vector<std::vector<std::pair<Seconds, int>>> sweeps(r.vms.size());
   for (dag::TaskId t = 0; t < r.tasks.size(); ++t) {
     const sim::TaskRecord& record = r.tasks[t];
     if (!completed(record) || record.vm >= r.vms.size()) continue;
     // Shrink by the tolerance so a back-to-back pair (finish == next start)
     // never counts as overlapping.
-    const Seconds tol = time_tol(options, record.finish);
+    const Seconds tol = time_tol(record.finish);
     sweeps[record.vm].push_back({record.start + tol, +1});
     sweeps[record.vm].push_back({record.finish - tol, -1});
   }
@@ -263,8 +269,7 @@ void check_slots(const dag::Workflow& wf, const platform::Platform& platform,
 }
 
 /// makespan_identity: Eq. (3) plus the endpoint definitions.
-void check_makespan(const dag::Workflow& wf, const sim::SimResult& r,
-                    const CheckOptions& options, CheckReport& report) {
+void check_makespan(const dag::Workflow& wf, const sim::SimResult& r, CheckReport& report) {
   Seconds first = std::numeric_limits<Seconds>::infinity();
   Seconds last = 0;
   std::size_t billed = 0;
@@ -279,15 +284,15 @@ void check_makespan(const dag::Workflow& wf, const sim::SimResult& r,
   expect(report, r.used_vms == billed, InvariantCode::makespan_identity, "result",
          "used_vms does not count the billed VMs", static_cast<double>(billed),
          static_cast<double>(r.used_vms));
-  expect(report, std::abs(r.start_first - first) <= time_tol(options, first),
+  expect(report, std::abs(r.start_first - first) <= time_tol(first),
          InvariantCode::makespan_identity, "result",
          "start_first != earliest billed boot_request", first, r.start_first);
-  expect(report, std::abs(r.end_last - last) <= time_tol(options, last),
+  expect(report, std::abs(r.end_last - last) <= time_tol(last),
          InvariantCode::makespan_identity, "result",
          "end_last != latest billed VM end", last, r.end_last);
   expect(report,
          std::abs(r.makespan - (r.end_last - r.start_first)) <=
-             time_tol(options, r.end_last),
+             time_tol(r.end_last),
          InvariantCode::makespan_identity, "result",
          "makespan != end_last - start_first (Eq. 3)", r.end_last - r.start_first,
          r.makespan);
@@ -296,10 +301,10 @@ void check_makespan(const dag::Workflow& wf, const sim::SimResult& r,
     const sim::TaskRecord& record = r.tasks[t];
     if (!completed(record)) continue;
     const auto subject = [&] { return task_subject(wf, t); };
-    expect(report, record.finish <= r.end_last + time_tol(options, record.finish),
+    expect(report, record.finish <= r.end_last + time_tol(record.finish),
            InvariantCode::makespan_identity, subject, "finished after end_last", r.end_last,
            record.finish);
-    expect(report, record.start >= r.start_first - time_tol(options, record.start),
+    expect(report, record.start >= r.start_first - time_tol(record.start),
            InvariantCode::makespan_identity, subject, "started before start_first",
            r.start_first, record.start);
   }
@@ -308,8 +313,7 @@ void check_makespan(const dag::Workflow& wf, const sim::SimResult& r,
 /// cost_conservation: recompute Eq. (1) from the billed VM records and
 /// Eq. (2) from the workflow's external data; compare itemized components.
 void check_cost(const dag::Workflow& wf, const platform::Platform& platform,
-                const sim::SimResult& r, bool clean, const CheckOptions& options,
-                CheckReport& report) {
+                const sim::SimResult& r, bool clean, CheckReport& report) {
   Dollars vm_time = 0;
   Dollars vm_setup = 0;
   for (const sim::VmRecord& vm : r.vms) {
@@ -319,11 +323,11 @@ void check_cost(const dag::Workflow& wf, const platform::Platform& platform,
                category.setup_cost;
     vm_setup += category.setup_cost;
   }
-  expect(report, money_close(r.cost.vm_time, vm_time, options.cost_ulps),
+  expect(report, money_close(r.cost.vm_time, vm_time, cost_ulps),
          InvariantCode::cost_conservation, "cost.vm_time",
          "accounted vm_time differs from the Eq. (1) recomputation", vm_time,
          r.cost.vm_time);
-  expect(report, money_close(r.cost.vm_setup, vm_setup, options.cost_ulps),
+  expect(report, money_close(r.cost.vm_setup, vm_setup, cost_ulps),
          InvariantCode::cost_conservation, "cost.vm_setup",
          "accounted vm_setup differs from the billed setup fees", vm_setup,
          r.cost.vm_setup);
@@ -332,7 +336,7 @@ void check_cost(const dag::Workflow& wf, const platform::Platform& platform,
       r.used_vms == 0 ? 0
                       : (wf.external_input_bytes() + wf.external_output_bytes()) *
                             platform.dc_transfer_price_per_byte();
-  expect(report, money_close(r.cost.dc_transfer, dc_transfer, options.cost_ulps),
+  expect(report, money_close(r.cost.dc_transfer, dc_transfer, cost_ulps),
          InvariantCode::cost_conservation, "cost.dc_transfer",
          "accounted dc_transfer differs from the Eq. (2) external-data term", dc_transfer,
          r.cost.dc_transfer);
@@ -352,7 +356,7 @@ void check_cost(const dag::Workflow& wf, const platform::Platform& platform,
         r.used_vms == 0
             ? 0
             : (r.end_last - r.start_first) * platform.dc_rate_for_footprint(footprint);
-    expect(report, money_close(r.cost.dc_time, dc_time, options.cost_ulps),
+    expect(report, money_close(r.cost.dc_time, dc_time, cost_ulps),
            InvariantCode::cost_conservation, "cost.dc_time",
            "accounted dc_time differs from the Eq. (2) storage term", dc_time,
            r.cost.dc_time);
@@ -362,8 +366,7 @@ void check_cost(const dag::Workflow& wf, const platform::Platform& platform,
 /// transfer_conservation: on clean runs the engine must move exactly the
 /// placement-implied data: 2x each positive cross-VM edge plus external
 /// inputs and outputs (zero-byte dependencies dispatch inline).
-void check_transfers(const dag::Workflow& wf, const sim::SimResult& r,
-                     const CheckOptions& options, CheckReport& report) {
+void check_transfers(const dag::Workflow& wf, const sim::SimResult& r, CheckReport& report) {
   std::size_t count = 0;
   Bytes bytes = 0;
   for (dag::EdgeId e = 0; e < wf.edge_count(); ++e) {
@@ -389,7 +392,7 @@ void check_transfers(const dag::Workflow& wf, const sim::SimResult& r,
   expect(report, r.transfers.count == count, InvariantCode::transfer_conservation,
          "transfers.count", "completed transfer count differs from the placement's needs",
          static_cast<double>(count), static_cast<double>(r.transfers.count));
-  const Bytes tol = std::max(1e-6, bytes * options.cost_ulps *
+  const Bytes tol = std::max(1e-6, bytes * cost_ulps *
                                        std::numeric_limits<double>::epsilon());
   expect(report, std::abs(r.transfers.bytes - bytes) <= tol,
          InvariantCode::transfer_conservation, "transfers.bytes",
@@ -400,7 +403,7 @@ void check_transfers(const dag::Workflow& wf, const sim::SimResult& r,
 void check_budget(const sim::SimResult& r, const CheckOptions& options, CheckReport& report) {
   if (options.budget <= 0) return;
   const Dollars total = r.cost.total();
-  const Dollars slack = options.budget * options.cost_ulps *
+  const Dollars slack = options.budget * cost_ulps *
                         std::numeric_limits<double>::epsilon();
   expect(report, total <= options.budget + std::max(slack, money_epsilon),
          InvariantCode::budget_cap, "cost.total",
@@ -425,14 +428,14 @@ InvariantChecker::InvariantChecker(const dag::Workflow& wf, const platform::Plat
 CheckReport InvariantChecker::check(const sim::SimResult& result,
                                     const CheckOptions& options) const {
   CheckReport report;
-  if (!check_records(wf_, platform_, result, options, report)) return report;
+  if (!check_records(wf_, platform_, result, report)) return report;
   const bool clean = clean_run(result);
-  check_boot(wf_, platform_, result, options, report);
-  check_precedence(wf_, platform_, result, clean, options, report);
-  check_slots(wf_, platform_, result, options, report);
-  check_makespan(wf_, result, options, report);
-  check_cost(wf_, platform_, result, clean, options, report);
-  if (clean) check_transfers(wf_, result, options, report);
+  check_boot(wf_, platform_, result, report);
+  check_precedence(wf_, platform_, result, clean, report);
+  check_slots(wf_, platform_, result, report);
+  check_makespan(wf_, result, report);
+  check_cost(wf_, platform_, result, clean, report);
+  if (clean) check_transfers(wf_, result, report);
   check_budget(result, options, report);
   return report;
 }
@@ -468,7 +471,7 @@ CheckReport InvariantChecker::check(const sim::Schedule& schedule,
     for (const dag::TaskId t : schedule.vm_tasks(v)) {
       const sim::TaskRecord& record = result.tasks[t];
       if (!completed(record) || record.vm != v) continue;
-      expect(report, record.start >= previous - time_tol(options, record.start),
+      expect(report, record.start >= previous - time_tol(record.start),
              InvariantCode::schedule_structure, [&] { return task_subject(wf_, t); },
              [&] {
                return "started before its list predecessor " +
@@ -483,7 +486,7 @@ CheckReport InvariantChecker::check(const sim::Schedule& schedule,
   return report;
 }
 
-CheckReport check_events(std::span<const obs::Event> events, const CheckOptions& options) {
+CheckReport check_events(std::span<const obs::Event> events) {
   CheckReport report;
   Seconds engine_time = -std::numeric_limits<Seconds>::infinity();
   Seconds decision_index = -std::numeric_limits<Seconds>::infinity();
@@ -501,12 +504,12 @@ CheckReport check_events(std::span<const obs::Event> events, const CheckOptions&
     expect(report, std::isfinite(event.time) && std::isfinite(event.value) &&
                        std::isfinite(event.duration),
            InvariantCode::event_order, subject, "non-finite time/value/duration");
-    expect(report, event.duration >= -options.time_tolerance, InvariantCode::event_order,
+    expect(report, event.duration >= -time_tolerance, InvariantCode::event_order,
            subject, "negative duration", 0, event.duration);
 
     if (event.kind == obs::EventKind::sched_decision) {
       // Scheduler decisions live on their own monotone index timeline.
-      expect(report, event.time >= decision_index - options.time_tolerance,
+      expect(report, event.time >= decision_index - time_tolerance,
              InvariantCode::event_order, subject,
              "decision index went backwards", decision_index, event.time);
       decision_index = std::max(decision_index, event.time);
@@ -515,7 +518,7 @@ CheckReport check_events(std::span<const obs::Event> events, const CheckOptions&
     const bool tail_kind = event.kind == obs::EventKind::billing_tick ||
                            event.kind == obs::EventKind::vm_shutdown;
     if (!epilogue && tail_kind &&
-        event.time < engine_time - time_tol(options, event.time)) {
+        event.time < engine_time - time_tol(event.time)) {
       // Per-VM billing ends are only known once the run loop is over, so
       // finalize emits them as one time-sorted epilogue: a single rewind
       // here is part of the contract, further rewinds are not.
@@ -526,11 +529,11 @@ CheckReport check_events(std::span<const obs::Event> events, const CheckOptions&
     if (epilogue) {
       expect(report, tail_kind, InvariantCode::event_order, subject,
              "non-billing event after the finalize epilogue began");
-      expect(report, event.time <= run_end + time_tol(options, event.time),
+      expect(report, event.time <= run_end + time_tol(event.time),
              InvariantCode::event_order, subject,
              "epilogue event after the run's last timestamp", run_end, event.time);
     }
-    expect(report, event.time >= engine_time - time_tol(options, event.time),
+    expect(report, event.time >= engine_time - time_tol(event.time),
            InvariantCode::event_order, subject,
            [&] {
              return "timestamp " + num(event.time) + " precedes an earlier event at " +
@@ -547,7 +550,7 @@ CheckReport check_events(std::span<const obs::Event> events, const CheckOptions&
       expect(report, it != running.rend(), InvariantCode::event_order, subject,
              "task_finish without a prior task_start");
       if (it != running.rend()) {
-        expect(report, event.time >= it->second - time_tol(options, event.time),
+        expect(report, event.time >= it->second - time_tol(event.time),
                InvariantCode::event_order, subject, "task finished before it started",
                it->second, event.time);
         running.erase(std::next(it).base());

@@ -60,12 +60,6 @@ struct CheckOptions {
   /// budget_cap check (stochastic realizations may legitimately overrun —
   /// the cap applies to the conservative prediction of the BUDG schedulers).
   Dollars budget = 0;
-  /// Money comparisons allow `cost_ulps * eps * max(1, |a|, |b|)`: scaled
-  /// ulps absorb the summation error of accumulating per-VM costs in a
-  /// different order than the engine did.
-  double cost_ulps = 256;
-  /// Absolute slack for time comparisons (scaled up for large timestamps).
-  Seconds time_tolerance = 1e-6;
 };
 
 /// Validates SimResults (and optionally the Schedule they executed) for one
@@ -92,8 +86,7 @@ class InvariantChecker {
 /// Validates the event stream contract (event_order): engine timestamps
 /// globally non-decreasing, sched_decision on its own monotone index
 /// timeline, durations non-negative, task finishes preceded by starts.
-[[nodiscard]] CheckReport check_events(std::span<const obs::Event> events,
-                                       const CheckOptions& options = {});
+[[nodiscard]] CheckReport check_events(std::span<const obs::Event> events);
 
 /// Ulp-scaled money equality used by the cost_conservation checks.
 [[nodiscard]] bool money_close(Dollars a, Dollars b, double ulps = 256);

@@ -64,12 +64,11 @@ Seconds critical_path_length(const Workflow& wf, const RankParams& params) {
   return best;
 }
 
-std::vector<TaskId> heft_order(const Workflow& wf, const RankParams& params) {
-  const auto rank = bottom_levels(wf, params);
-  std::vector<TaskId> order(wf.task_count());
+std::vector<TaskId> heft_order(std::span<const Seconds> ranks) {
+  std::vector<TaskId> order(ranks.size());
   std::iota(order.begin(), order.end(), TaskId{0});
   std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-    if (rank[a] != rank[b]) return rank[a] > rank[b];
+    if (ranks[a] != ranks[b]) return ranks[a] > ranks[b];
     return a < b;
   });
   return order;

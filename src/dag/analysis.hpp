@@ -8,6 +8,7 @@
 /// metrics feed the workflow-structure discussion of
 /// Section V-B (Bag-of-Tasks-ness of LIGO/CYBERSHAKE vs MONTAGE).
 
+#include <span>
 #include <vector>
 
 #include "common/units.hpp"
@@ -40,9 +41,9 @@ struct RankParams {
 /// unlimited identical VMs of speed mean_speed (ignoring boot).
 [[nodiscard]] Seconds critical_path_length(const Workflow& wf, const RankParams& params);
 
-/// Task ids ordered by non-increasing bottom level (HEFT's list order).
-/// Ties broken by task id for determinism.
-[[nodiscard]] std::vector<TaskId> heft_order(const Workflow& wf, const RankParams& params);
+/// Task ids ordered by non-increasing \p ranks (HEFT's list order, given the
+/// bottom_levels() of a workflow).  Ties broken by task id for determinism.
+[[nodiscard]] std::vector<TaskId> heft_order(std::span<const Seconds> ranks);
 
 /// Aggregate shape statistics of a DAG.
 struct GraphMetrics {

@@ -5,24 +5,20 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/event_bus.hpp"
 #include "obs/profile.hpp"
+#include "sched/best_host.hpp"
 #include "sched/budget.hpp"
-#include "sched/eft.hpp"
 #include "sched/plan.hpp"
 
 namespace cloudwf::sched {
 
 namespace {
 
-/// TCTF host choice for one task given its tentative sub-budget.
-struct TctfChoice {
-  HostCandidate host{};
-  PlacementEstimate estimate{};
-  bool eligible = false;  // fit within subBudg
-};
-
-TctfChoice pick_tctf_host(const EftState& state, dag::TaskId task, Dollars sub_budget,
-                          std::vector<PlacementEstimate>& estimates) {
+/// TCTF host choice for one task given its tentative sub-budget; affordable
+/// when the host fits within subBudg, else the cheapest host.
+BestHost pick_tctf_host(const EftState& state, dag::TaskId task, Dollars sub_budget,
+                        std::vector<PlacementEstimate>& estimates) {
   const auto hosts = state.candidates();
 
   // First sweep: per-host estimates and the ECT / cost extremes.  The
@@ -41,9 +37,9 @@ TctfChoice pick_tctf_host(const EftState& state, dag::TaskId task, Dollars sub_b
     estimates.push_back(est);
   }
 
-  TctfChoice best;
+  BestHost best{{}, {}, false};
   double best_tctf = -1.0;
-  TctfChoice cheapest;
+  BestHost cheapest{{}, {}, false};
   Dollars cheapest_cost = std::numeric_limits<Dollars>::infinity();
 
   for (std::size_t i = 0; i < hosts.size(); ++i) {
@@ -52,7 +48,7 @@ TctfChoice pick_tctf_host(const EftState& state, dag::TaskId task, Dollars sub_b
         (est.cost == cheapest_cost &&
          better_placement(est, hosts[i], cheapest.estimate, cheapest.host))) {
       cheapest_cost = est.cost;
-      cheapest = TctfChoice{hosts[i], est, false};
+      cheapest = BestHost{hosts[i], est, false};
     }
     if (est.cost > sub_budget + money_epsilon) continue;  // ineligible
 
@@ -67,11 +63,11 @@ TctfChoice pick_tctf_host(const EftState& state, dag::TaskId task, Dollars sub_b
     if (tctf > best_tctf ||
         (tctf == best_tctf && better_placement(est, hosts[i], best.estimate, best.host))) {
       best_tctf = tctf;
-      best = TctfChoice{hosts[i], est, true};
+      best = BestHost{hosts[i], est, true};
     }
   }
 
-  return best.eligible ? best : cheapest;
+  return best.affordable ? best : cheapest;
 }
 
 }  // namespace
@@ -79,6 +75,7 @@ TctfChoice pick_tctf_host(const EftState& state, dag::TaskId task, Dollars sub_b
 SchedulerOutput BdtScheduler::schedule(const SchedulerInput& input) const {
   const dag::Workflow& wf = input.wf;
   const obs::ProfileScope profile("sched.plan");
+  const bool trace = input.bus != nullptr && input.bus->enabled();
 
   // Same reservations as the paper's algorithms (fair comparison).
   const BudgetModel& model = input.plan.budget_model;
@@ -106,6 +103,7 @@ SchedulerOutput BdtScheduler::schedule(const SchedulerInput& input) const {
   std::vector<Seconds> est(wf.task_count(), 0);
 
   Dollars trickle = 0;  // leftover budget flowing between levels
+  std::size_t decision = 0;
   for (std::size_t l = 0; l < levels.size(); ++l) {
     // Tasks inside a level by increasing EST (data-at-DC readiness);
     // ties by task id for determinism.
@@ -119,8 +117,13 @@ SchedulerOutput BdtScheduler::schedule(const SchedulerInput& input) const {
     // "All in": the head task may spend the whole remaining level budget.
     Dollars remaining = level_budget[l] + trickle;
     for (dag::TaskId task : order) {
-      const TctfChoice choice = pick_tctf_host(state, task, remaining, estimate_scratch);
-      state.commit(task, choice.host, choice.estimate, schedule);
+      const BestHost choice = pick_tctf_host(state, task, remaining, estimate_scratch);
+      const std::size_t n_candidates = trace ? state.candidates().size() : 0;
+      const sim::VmId vm = state.commit(task, choice.host, choice.estimate, schedule);
+      if (trace)
+        emit_decision(*input.bus, decision, wf, input.platform, task, vm, choice, n_candidates,
+                      remaining);
+      ++decision;
       remaining -= choice.estimate.cost;  // may go negative: eager overrun
     }
     trickle = remaining;

@@ -44,9 +44,7 @@ sim::Schedule single_vm_schedule(const dag::Workflow& wf, platform::CategoryId c
 
 Dollars single_vm_cost(const dag::Workflow& wf, const platform::Platform& platform,
                        platform::CategoryId category) {
-  const sim::Simulator simulator(wf, platform);
-  return simulator.run(single_vm_schedule(wf, category), dag::conservative_weights(wf))
-      .total_cost();
+  return sim::Predictor(wf, platform, single_vm_schedule(wf, category)).run().total_cost();
 }
 
 namespace {
@@ -152,10 +150,8 @@ void refine_critical_path(const SchedulerInput& input, sim::Schedule& schedule) 
   const dag::Workflow& wf = input.wf;
   const platform::Platform& platform = input.platform;
   const obs::ProfileScope profile("sched.refine");
-  const sim::Simulator simulator(wf, platform);
-  const dag::WeightRealization conservative = dag::conservative_weights(wf);
-  sim::SimResult current = simulator.run(schedule, conservative);
   sim::Predictor predictor(wf, platform, schedule);
+  sim::SimResult current = predictor.run();
   // Generous iteration cap: each applied move strictly reduces makespan, but
   // guard against floating-point ping-pong anyway.
   const std::size_t max_iterations = 3 * wf.task_count();
@@ -185,7 +181,7 @@ void refine_critical_path(const SchedulerInput& input, sim::Schedule& schedule) 
     if (!best) break;  // leftover budget cannot buy time
     schedule.apply(*best);
     predictor.rebase(schedule);
-    current = simulator.run(schedule, conservative);
+    current = predictor.run();
   }
 }
 

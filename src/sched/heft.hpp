@@ -29,8 +29,6 @@ struct HeftBudgOptions {
   // (The third ingredient — planning with mu + sigma instead of mu — is
   // ablated without a knob: schedule a zero-sigma copy of the workflow,
   // execute the schedule on the original; see bench/ext_ablation.cpp.)
-
-  [[nodiscard]] bool is_default() const { return share_pot && reserve_budget; }
 };
 
 /// HEFT (budget-unaware) or HEFTBUDG (budget-aware).

@@ -10,7 +10,7 @@ WorkflowPlan WorkflowPlan::build(const dag::Workflow& wf, const platform::Platfo
   const dag::RankParams rank_params{platform.mean_speed(), platform.bandwidth(),
                                     /*conservative=*/true};
   plan.bottom_levels = dag::bottom_levels(wf, rank_params);
-  plan.heft_list = dag::heft_order(wf, rank_params);
+  plan.heft_list = dag::heft_order(plan.bottom_levels);
   plan.levels = dag::tasks_by_level(wf);
   plan.budget_model = BudgetModel::build(wf, platform);
   return plan;

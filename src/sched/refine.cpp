@@ -14,7 +14,7 @@ std::size_t refine_by_resimulation(const SchedulerInput& input, sim::Schedule& s
           "refine_by_resimulation: order must cover every task");
   const obs::ProfileScope profile("sched.refine");
   sim::Predictor predictor(input.wf, input.platform, schedule);
-  Seconds best_makespan = predictor.predict().makespan;
+  Seconds best_makespan = predictor.run().makespan;
   std::size_t applied = 0;
 
   for (const dag::TaskId task : order) {

@@ -37,9 +37,7 @@ SchedulerInput make_input(const dag::Workflow& wf, const platform::Platform& pla
 SchedulerOutput Scheduler::finish(const SchedulerInput& input, sim::Schedule schedule) {
   const obs::ProfileScope profile("sched.predict");
   sim::Schedule compacted = schedule.compacted();
-  const sim::Simulator simulator(input.wf, input.platform);
-  const sim::SimResult prediction =
-      simulator.run(compacted, dag::conservative_weights(input.wf));
+  const sim::SimResult prediction = sim::Predictor(input.wf, input.platform, compacted).run();
   SchedulerOutput out{std::move(compacted), prediction.makespan, prediction.total_cost(), false};
   out.budget_feasible = out.predicted_cost <= input.budget + money_epsilon;
   return out;

@@ -61,10 +61,9 @@ class SchedulerInput {
 
 /// A produced schedule plus its deterministic prediction.
 ///
-/// The prediction is one sim::Simulator::run() with
-/// dag::conservative_weights() (mu + sigma) — the same `simulate()`
-/// Algorithm 5 uses — so every algorithm's feasibility is judged by one
-/// consistent model.
+/// The prediction is one sim::Predictor::run() (conservative weights
+/// mu + sigma), the evaluator Algorithm 5 and CG+ probe with, so every
+/// algorithm's feasibility is judged by one consistent model.
 struct SchedulerOutput {
   sim::Schedule schedule;         ///< complete, compacted mapping
   Seconds predicted_makespan = 0; ///< conservative-weights makespan

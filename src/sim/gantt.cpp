@@ -133,7 +133,7 @@ std::string render_gantt_svg(const dag::Workflow& wf, const SimResult& result,
     svg << tooltip << ": " << fmt(task.start) << " - " << fmt(task.finish);
     if (task.restarts > 0) svg << " (" << task.restarts << " restart)";
     svg << "</title></rect>\n";
-    if (options.label_tasks && w > 40) {
+    if (w > 40) {
       std::string label;
       escape_into(label, wf.task(t).name);
       svg << "<text x=\"" << x + 3 << "\" y=\"" << y + bar_h / 2 + 4

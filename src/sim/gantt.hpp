@@ -20,7 +20,6 @@ namespace cloudwf::sim {
 struct GanttOptions {
   int width = 1200;          ///< total SVG width in px
   int lane_height = 28;      ///< per-VM lane height in px
-  bool label_tasks = true;   ///< print task names inside their bars
   std::string title;         ///< chart title; empty = workflow name
 };
 

@@ -78,7 +78,7 @@ struct Totals {
 };
 
 /// The execution engine: an arena that every run resets.  A Simulator keeps
-/// one for all of its runs and a Predictor one for all of its probes.
+/// one for all of its runs and a Predictor one for its runs and probes.
 ///
 /// The task-to-VM mapping starts as a copy of the static Schedule but is
 /// *mutable*: the online policy (paper Section VI) may interrupt a running
@@ -1432,9 +1432,7 @@ class Predictor::Engine {
         platform_(platform),
         weights_(dag::conservative_weights(wf)),
         arena_(wf, platform, nullptr),
-        bound_(wf, platform, weights_),
-        base_(wf.task_count()),
-        checked_(wf.task_count()) {
+        base_(wf.task_count()) {
     arena_.configure(weights_, nullptr, nullptr, nullptr);
     rebase(base);
   }
@@ -1445,24 +1443,21 @@ class Predictor::Engine {
     arena_.reserve_static();
   }
 
-  Prediction predict() {
-    if (const PostRunCheck hook = post_run_check()) {
-      const SimResult result = arena_.run();
-      hook(wf_, platform_, base_, result);
-      return {result.makespan, result.total_cost()};
-    }
-    return arena_.predict();
+  SimResult run() {
+    SimResult result = arena_.run();
+    if (const PostRunCheck hook = post_run_check()) hook(wf_, platform_, base_, result);
+    return result;
   }
 
   std::optional<Prediction> predict(const Move& move, Seconds cutoff) {
     return with_move(move, [&]() -> std::optional<Prediction> {
-      const std::optional<Seconds> bound = bound_(arena_.plans(), arena_.assignment());
+      const std::optional<Seconds> bound = bound_of_moved();
       if (const PostRunCheck hook = post_run_check()) {
         // Checked mode simulates every probe and audits the bound too.
-        checked_ = base_;
-        checked_.apply(move);
+        Schedule moved = base_;
+        moved.apply(move);
         const SimResult result = arena_.run();
-        hook(wf_, platform_, checked_, result);
+        hook(wf_, platform_, moved, result);
         if (bound && result.makespan < *bound) {
           std::ostringstream os;
           os.precision(17);
@@ -1478,10 +1473,17 @@ class Predictor::Engine {
   }
 
   std::optional<Seconds> lower_bound(const Move& move) {
-    return with_move(move, [&] { return bound_(arena_.plans(), arena_.assignment()); });
+    return with_move(move, [&] { return bound_of_moved(); });
   }
 
  private:
+  /// The makespan bound of the arena's current plan; its tables are built by
+  /// the first probe, so a predictor that only run()s never pays for them.
+  std::optional<Seconds> bound_of_moved() {
+    if (!bound_) bound_.emplace(wf_, platform_, weights_);
+    return (*bound_)(arena_.plans(), arena_.assignment());
+  }
+
   /// Runs \p probe on the arena's plan with \p move applied and validated.
   template <class Probe>
   std::invoke_result_t<Probe> with_move(const Move& move, Probe&& probe) {
@@ -1508,9 +1510,8 @@ class Predictor::Engine {
   const platform::Platform& platform_;
   const dag::WeightRealization weights_;
   Execution arena_;
-  MakespanBound bound_;
-  Schedule base_;     // the plan probes apply their move to
-  Schedule checked_;  // base_ plus the move, built only for the post-run hook
+  std::optional<MakespanBound> bound_;  // built by the first probe
+  Schedule base_;  // the plan probes apply their move to
 };
 
 Predictor::Predictor(const dag::Workflow& wf, const platform::Platform& platform,
@@ -1523,7 +1524,7 @@ Predictor::~Predictor() = default;
 
 void Predictor::rebase(const Schedule& schedule) { engine_->rebase(schedule); }
 
-Prediction Predictor::predict() { return engine_->predict(); }
+SimResult Predictor::run() { return engine_->run(); }
 
 std::optional<Prediction> Predictor::predict(const Move& move, Seconds cutoff) {
   return engine_->predict(move, cutoff);

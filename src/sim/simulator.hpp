@@ -23,8 +23,8 @@
 ///  * With Platform::dc_aggregate_bandwidth() > 0, all active flows share
 ///    that capacity max-min fairly (the contention mode).
 ///
-/// The same engine doubles as the deterministic predictor of Algorithm 5:
-/// run it with dag::conservative_weights(wf), or through a Predictor.
+/// The same engine doubles as the deterministic predictor of Algorithm 5,
+/// driven through a Predictor with dag::conservative_weights(wf).
 
 #include <limits>
 #include <memory>
@@ -124,21 +124,21 @@ struct Prediction {
   Dollars cost = 0;
 };
 
-/// The deterministic predictor of the refinement loops (Algorithm 5, CG+):
-/// Simulator::run() of a base schedule with one Move applied and
-/// dag::conservative_weights(), without copying the schedule or building a
-/// SimResult.
+/// The deterministic predictor of the schedulers (Algorithm 5's simulate()):
+/// Simulator::run() of a base schedule with dag::conservative_weights(), in
+/// full (run()) or with one Move applied (a probe: makespan and cost only,
+/// without copying the schedule or building a SimResult).  Every scheduler's
+/// final prediction, CG's minimum cost and the refinement loops use it.
 ///
-/// One Predictor serves one refinement call and is not thread-safe.  It
+/// One Predictor serves one scheduling call and is not thread-safe.  It
 /// computes the conservative weights once and keeps one engine arena that
-/// every probe resets, so a probe allocates nothing once the first has run.
+/// every run resets, so a probe allocates nothing once the first has run.
 /// A probe applies its move as a delta to the predictor's own copy of the
-/// plan and reverts it afterwards.  Predictions equal that conservative run
-/// bit for bit.  A probe with a cutoff first evaluates a static lower bound on
+/// plan and reverts it afterwards; it equals the run of the moved plan bit
+/// for bit.  A probe with a cutoff first evaluates a static lower bound on
 /// the makespan and skips the simulation when the bound already reaches the
-/// cutoff.  While a post-run hook is installed (CLOUDWF_CHECK=1), every
-/// probe also builds the moved Schedule and the full SimResult and passes
-/// them to the hook, exactly as Simulator::run() does.
+/// cutoff.  While a post-run hook is installed (CLOUDWF_CHECK=1), run() and
+/// every probe hand the run plan and its full SimResult to the hook.
 class Predictor {
  public:
   /// Both references must outlive the predictor; \p wf must be frozen.
@@ -152,8 +152,8 @@ class Predictor {
   /// applied a move); validates it (ValidationError) like a run would.
   void rebase(const Schedule& schedule);
 
-  /// Prediction of the base schedule.
-  [[nodiscard]] Prediction predict();
+  /// The full conservative run of the base schedule.
+  [[nodiscard]] SimResult run();
 
   /// Prediction of the base schedule with \p move applied (the move must be
   /// valid for the base: see Move), or nullopt without simulating when

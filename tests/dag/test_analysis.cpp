@@ -69,7 +69,7 @@ TEST(Analysis, CriticalPathLengthMatchesEntryRank) {
 
 TEST(Analysis, HeftOrderIsByDescendingRank) {
   const Workflow wf = testing::diamond();
-  const auto order = heft_order(wf, params);
+  const auto order = heft_order(bottom_levels(wf, params));
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(wf.task(order[0]).name, "A");
   EXPECT_EQ(wf.task(order[1]).name, "C");
@@ -79,7 +79,7 @@ TEST(Analysis, HeftOrderIsByDescendingRank) {
 
 TEST(Analysis, HeftOrderIsTopologicallyConsistent) {
   const Workflow wf = testing::diamond();
-  const auto order = heft_order(wf, params);
+  const auto order = heft_order(bottom_levels(wf, params));
   std::vector<std::size_t> position(wf.task_count());
   for (std::size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
   for (const Edge& e : wf.edges()) EXPECT_LT(position[e.src], position[e.dst]);

@@ -150,22 +150,25 @@ TEST(SimulatorEvents, VmLifecycleBracketsItsTasks) {
 TEST(SimulatorEvents, SchedulerEmitsOneDecisionPerTask) {
   const dag::Workflow wf = testing::diamond();
   const platform::Platform platform = testing::toy_platform();
-  EventBus bus;
-  RecordingSink sink;
-  bus.add_sink(&sink);
-  (void)sched::make_scheduler("heft")->schedule(sched::make_input(wf, platform, 100.0, &bus));
+  for (const std::string& algorithm : sched::algorithm_names()) {
+    EventBus bus;
+    RecordingSink sink;
+    bus.add_sink(&sink);
+    (void)sched::make_scheduler(algorithm)->schedule(
+        sched::make_input(wf, platform, 100.0, &bus));
 
-  std::size_t decisions = 0;
-  Seconds last_index = -1;
-  for (const Event& event : sink.events()) {
-    if (event.kind != EventKind::sched_decision) continue;
-    ++decisions;
-    EXPECT_GT(event.time, last_index);  // decision index strictly increases
-    last_index = event.time;
-    EXPECT_GE(event.vm, 0);
-    EXPECT_FALSE(event.detail.empty());
+    std::size_t decisions = 0;
+    Seconds last_index = -1;
+    for (const Event& event : sink.events()) {
+      if (event.kind != EventKind::sched_decision) continue;
+      ++decisions;
+      EXPECT_GT(event.time, last_index) << algorithm;  // decision index strictly increases
+      last_index = event.time;
+      EXPECT_GE(event.vm, 0) << algorithm;
+      EXPECT_FALSE(event.detail.empty()) << algorithm;
+    }
+    EXPECT_EQ(decisions, wf.task_count()) << algorithm;
   }
-  EXPECT_EQ(decisions, wf.task_count());
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ sim::Schedule replay_heft(const dag::Workflow& wf, const platform::Platform& pla
   const dag::RankParams rank_params{platform.mean_speed(), platform.bandwidth(),
                                     /*conservative=*/true};
   const std::vector<Seconds> ranks = dag::bottom_levels(wf, rank_params);
-  const std::vector<dag::TaskId> list = dag::heft_order(wf, rank_params);
+  const std::vector<dag::TaskId> list = dag::heft_order(ranks);
   sched::BudgetShares shares;
   if (budget) shares = sched::divide_budget(sched::BudgetModel::build(wf, platform), *budget);
   Dollars pot = 0;

@@ -197,9 +197,11 @@ TEST_P(RefineOracle, PredictorEqualsRunConservativeOverRandomMoves) {
   std::vector<dag::TaskId> order;
   const sim::Schedule start = sched::HeftScheduler::run_list_pass(input, true, order);
 
-  const auto conservative = [&](const sim::Schedule& schedule) {
-    const sim::SimResult r = simulator.run(schedule, dag::conservative_weights(wf_));
+  const auto totals = [](const sim::SimResult& r) {
     return sim::Prediction{r.makespan, r.total_cost()};
+  };
+  const auto conservative = [&](const sim::Schedule& schedule) {
+    return totals(simulator.run(schedule, dag::conservative_weights(wf_)));
   };
   // The checked path (full SimResult handed to the hook) and the fast path
   // (makespan and cost only) must both match.
@@ -210,7 +212,7 @@ TEST_P(RefineOracle, PredictorEqualsRunConservativeOverRandomMoves) {
       check::uninstall_auto_check();
     sim::Schedule schedule = start;
     sim::Predictor predictor(wf_, platform_, schedule);
-    expect_same(outcome_of([&] { return predictor.predict(); }),
+    expect_same(outcome_of([&] { return totals(predictor.run()); }),
                 outcome_of([&] { return conservative(schedule); }));
 
     Rng rng(GetParam().seed * 7919 + (checked ? 1 : 0));

@@ -50,11 +50,15 @@ TEST_P(AlgorithmTest, ProducesCompleteValidSchedule) {
 TEST_P(AlgorithmTest, PredictionMatchesConservativeSimulation) {
   const auto wf = make_workflow(type());
   const auto platform = platform::paper_platform();
-  const SchedulerOutput out = make_scheduler(algorithm())->schedule(make_input(wf, platform, 5.0));
-  const sim::SimResult check =
-      sim::Simulator(wf, platform).run(out.schedule, dag::conservative_weights(wf));
-  EXPECT_NEAR(out.predicted_makespan, check.makespan, 1e-6);
-  EXPECT_NEAR(out.predicted_cost, check.total_cost(), 1e-9);
+  const exp::BudgetLevels levels = exp::compute_budget_levels(wf, platform);
+  const auto scheduler = make_scheduler(algorithm());
+  const sim::Simulator simulator(wf, platform);
+  for (const Dollars budget : {5.0, levels.low, levels.medium, levels.high}) {
+    const SchedulerOutput out = scheduler->schedule(make_input(wf, platform, budget));
+    const sim::SimResult check = simulator.run(out.schedule, dag::conservative_weights(wf));
+    EXPECT_EQ(out.predicted_makespan, check.makespan) << "budget " << budget;
+    EXPECT_EQ(out.predicted_cost, check.total_cost()) << "budget " << budget;
+  }
 }
 
 TEST_P(AlgorithmTest, DeterministicAcrossRuns) {

@@ -126,12 +126,13 @@ TEST(AllocFree, PredictorProbesAllocateNothingAfterTheFirst) {
   ASSERT_GT(moves.size(), wf.task_count());
 
   sim::Predictor predictor(wf, platform, schedule);
-  const Seconds base = predictor.predict().makespan;  // the first probe
-  Seconds sink = base;
+  const Seconds base = predictor.run().makespan;
+  const Seconds never = std::numeric_limits<Seconds>::infinity();
+  Seconds sink = predictor.predict(moves.front(), never)->cost;  // the first probe
   for (const sim::Move& move : moves) {
     // A full probe, then one the makespan lower bound may skip.
     const std::size_t count = allocations_during([&] {
-      sink += predictor.predict(move, std::numeric_limits<Seconds>::infinity())->cost;
+      sink += predictor.predict(move, never)->cost;
       if (const auto result = predictor.predict(move, base)) sink += result->cost;
     });
     EXPECT_EQ(count, 0u) << "task " << move.task << " -> vm " << move.vm
